@@ -181,16 +181,7 @@ int main(int argc, char** argv) {
           const CellOut& c = cells[i];
           sum.wall_cycles += c.wall_cycles;
           sum.sections += c.sections;
-          sum.stats.acquisitions += c.stats.acquisitions;
-          sum.stats.attempts += c.stats.attempts;
-          sum.stats.elided += c.stats.elided;
-          sum.stats.busy_waits += c.stats.busy_waits;
-          sum.stats.aborts += c.stats.aborts;
-          sum.stats.fallbacks += c.stats.fallbacks;
-          sum.stats.lock_acquires += c.stats.lock_acquires;
-          sum.stats.self_stops += c.stats.self_stops;
-          sum.stats.cycles_elided += c.stats.cycles_elided;
-          sum.stats.cycles_wasted += c.stats.cycles_wasted;
+          sum.stats.merge(c.stats);
         }
         agg[{m, th}] = sum;
       }

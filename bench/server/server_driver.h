@@ -162,7 +162,13 @@ class Service {
   // Requests the service declined for lack of state (partial matches,
   // rejected reservations); 0 for services where every request succeeds.
   virtual uint64_t misses() const { return 0; }
-  virtual elide::ElideStats elide_totals() const { return {}; }
+  // Statistics of every elide lock the service owns (none by default).
+  virtual std::vector<elide::ElideStats> elide_locks() const { return {}; }
+  elide::ElideStats elide_totals() const {
+    elide::ElideStats t;
+    for (const elide::ElideStats& s : elide_locks()) t.merge(s);
+    return t;
+  }
 
  protected:
   void fail(std::string msg) {
@@ -259,17 +265,10 @@ class KvService final : public Service {
     }
   }
 
-  elide::ElideStats elide_totals() const override {
-    elide::ElideStats t;
-    for (const auto& l : locks_) {
-      const elide::ElideStats& s = l->stats();
-      t.acquisitions += s.acquisitions;
-      t.attempts += s.attempts;
-      t.elided += s.elided;
-      t.fallbacks += s.fallbacks;
-      t.self_stops += s.self_stops;
-    }
-    return t;
+  std::vector<elide::ElideStats> elide_locks() const override {
+    std::vector<elide::ElideStats> out;
+    for (const auto& l : locks_) out.push_back(l->stats());
+    return out;
   }
 
  private:

@@ -36,9 +36,8 @@ using sim::Word;
 // speculative attempt / fallback execution. When `observe_commit` is false
 // the commit hook only closes the heap scope: STM executors seal their units
 // through the serialize hook at the true serialization point instead.
-template <class Hooks>
-Hooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
-  return Hooks{
+ScopeHooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
+  return ScopeHooks{
       [env] {
         CtxId c = env.machine->current_ctx();
         env.heap->tx_scope_begin(c);
@@ -64,7 +63,7 @@ Hooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
 // Mirrors RtmExecutor::execute's hook ordering so the recorder and heap
 // scoping see elided sections exactly like executor transactions.
 ElideOutcome hw_elide(sim::Machine& m, obs::TraceSink* sink,
-                      const htm::ScopeHooks& hooks,
+                      const ScopeHooks& hooks,
                       util::FnRef<void()> body, Addr lock_word, uint32_t site) {
   if (sink) sink->set_site(m.current_ctx(), site);
   hooks.on_begin();
@@ -133,7 +132,13 @@ class SpinLockExecutor final : public TxExecutor {
       throw;
     }
     if (TxObserver* o = obs()) o->on_unit_commit(c);
-    if (env_.sink) env_.sink->lock_section(c, t0, env_.machine->now());
+    if (env_.sink) {
+      Cycles t1 = env_.machine->now();
+      env_.sink->emit({.kind = obs::EventKind::kLockSection,
+                       .ctx = c,
+                       .t = t1,
+                       .cycles = t1 - t0});
+    }
     lock_.unlock();
   }
 
@@ -150,13 +155,13 @@ class HleExecutor final : public TxExecutor {
       : TxExecutor(env),
         lock_(*env.machine, mem::kRuntimeRegionBase + 2 * sim::kLineBytes,
               elision_attempts),
-        elide_hooks_(make_scope_hooks<htm::ScopeHooks>(env, true)) {
+        elide_hooks_(make_scope_hooks(env, true)) {
     lock_.init();
     // Heap scoping and observer bracketing fire per elision attempt;
     // lock-path sections seal before the unlock, elided sections seal
     // through the machine's tx-commit trace hook (the later scope-commit
     // call is an idempotent backstop).
-    lock_.set_scope_hooks(make_scope_hooks<htm::ScopeHooks>(env, true));
+    lock_.set_scope_hooks(make_scope_hooks(env, true));
     lock_.set_sink(env.sink);
   }
 
@@ -186,7 +191,7 @@ class HleExecutor final : public TxExecutor {
 
  private:
   htm::HleLock lock_;
-  htm::ScopeHooks elide_hooks_;
+  ScopeHooks elide_hooks_;
 };
 
 // ---- kRtm ----
@@ -196,9 +201,9 @@ class RtmSerialExecutor final : public TxExecutor {
   RtmSerialExecutor(const ExecutorEnv& env, const RetryPolicy& policy)
       : TxExecutor(env),
         rtm_(*env.machine, mem::kRuntimeRegionBase + sim::kLineBytes, policy),
-        elide_hooks_(make_scope_hooks<htm::ScopeHooks>(env, true)) {
+        elide_hooks_(make_scope_hooks(env, true)) {
     rtm_.init();
-    rtm_.set_scope_hooks(make_scope_hooks<htm::ScopeHooks>(env, true));
+    rtm_.set_scope_hooks(make_scope_hooks(env, true));
     rtm_.set_sink(env.sink);
   }
 
@@ -237,7 +242,7 @@ class RtmSerialExecutor final : public TxExecutor {
 
  private:
   htm::RtmExecutor rtm_;
-  htm::ScopeHooks elide_hooks_;
+  ScopeHooks elide_hooks_;
 };
 
 // ---- STM-backed executors (kTinyStm, kTl2, and kHybrid's fallback) ----
@@ -259,7 +264,7 @@ class StmBackedExecutor : public TxExecutor {
     stm_->set_serialize_hook([this](CtxId c) {
       if (TxObserver* o = obs()) o->on_unit_commit(c);
     });
-    stm_exec_.set_scope_hooks(make_scope_hooks<stm::ScopeHooks>(env, false));
+    stm_exec_.set_scope_hooks(make_scope_hooks(env, false));
     stm_exec_.set_sink(env.sink);
   }
 
@@ -403,7 +408,7 @@ class HybridExecutor final : public StmBackedExecutor {
         policy_(policy),
         tiny_(static_cast<stm::TinyStm*>(stm_.get())),
         clock_line_(sim::line_of(tiny_->clock_addr())),
-        hw_hooks_(make_scope_hooks<htm::ScopeHooks>(env, true)) {}
+        hw_hooks_(make_scope_hooks(env, true)) {}
 
   const char* name() const override { return "Hybrid"; }
 
@@ -452,7 +457,9 @@ class HybridExecutor final : public StmBackedExecutor {
       }
       if (policy_.exhausted(attempts)) break;
       Cycles wait = policy_.backoff_cycles(attempts, m_.setup_rng());
-      if (env_.sink) env_.sink->retry_decision(ctx, m_.now(), false, wait);
+      if (env_.sink) {
+        env_.sink->emit(obs::retry_event(ctx, m_.now(), false, wait));
+      }
       if (wait) m_.compute(wait);
     }
 
@@ -461,7 +468,7 @@ class HybridExecutor final : public StmBackedExecutor {
     Cycles t0 = m_.now();
     ++total_.fallbacks;
     ++sites_[site_idx].second.fallbacks;
-    if (env_.sink) env_.sink->retry_decision(ctx, m_.now(), true, 0);
+    if (env_.sink) env_.sink->emit(obs::retry_event(ctx, m_.now(), true));
     stm_exec_.execute(body, site);
     Cycles dt = m_.now() - t0;
     total_.cycles_fallback += dt;
@@ -581,7 +588,7 @@ class HybridExecutor final : public StmBackedExecutor {
   RetryPolicy policy_;
   stm::TinyStm* tiny_;  // the same object stm_ owns, concretely typed
   uint64_t clock_line_;
-  htm::ScopeHooks hw_hooks_;
+  ScopeHooks hw_hooks_;
   std::array<PerCtx, sim::kMaxCtxs> per_ctx_{};
   htm::RtmStats total_;
   std::vector<std::pair<uint32_t, htm::RtmStats>> sites_;

@@ -95,19 +95,34 @@ TxRuntime::TxRuntime(RunConfig cfg) : cfg_(std::move(cfg)) {
       sink_->set_hub(hub_.get());
     }
     obs::TraceSink* s = sink_.get();
+    using obs::EventKind;
     sim::ObsHooks hooks;
-    hooks.on_tx_begin = [s](CtxId c, Cycles t) { s->tx_begin(c, t); };
-    hooks.on_tx_commit = [s](CtxId c, Cycles t) { s->tx_commit(c, t); };
+    hooks.on_tx_begin = [s](CtxId c, Cycles t) {
+      s->emit({.kind = EventKind::kTxBegin, .ctx = c, .t = t});
+    };
+    hooks.on_tx_commit = [s](CtxId c, Cycles t) {
+      s->emit({.kind = EventKind::kTxCommit, .ctx = c, .t = t});
+    };
     hooks.on_tx_abort = [s](CtxId c, Cycles t, sim::AbortReason r,
                             uint64_t line, CtxId attacker) {
-      s->tx_abort(c, t, r, line, attacker);
+      s->emit({.kind = EventKind::kTxAbort,
+               .reason = r,
+               .ctx = c,
+               .attacker = attacker,
+               .t = t,
+               .line = line});
     };
     hooks.on_tx_evict = [s](CtxId c, Cycles t, int level, uint64_t line) {
-      s->evict(c, t, level, line);
+      s->emit({.kind = EventKind::kEvict,
+               .level = static_cast<uint8_t>(level),
+               .ctx = c,
+               .t = t,
+               .line = line});
     };
     if (cfg_.obs.sample_interval) {
       hooks.on_sample_window = [s](Cycles t, const sim::MachineStats& st) {
-        s->energy_sample(t, st);
+        s->emit(
+            {.kind = EventKind::kEnergy, .t = t, .payload = {.stats = &st}});
       };
     }
     machine_->set_obs_hooks(std::move(hooks), cfg_.obs.sample_interval);
@@ -127,11 +142,9 @@ TxRuntime::TxRuntime(RunConfig cfg) : cfg_(std::move(cfg)) {
 
 TxRuntime::~TxRuntime() {
   if (sink_ && !cfg_.obs.label.empty()) {
-    obs::Capture c = obs::make_capture(*sink_, cfg_.obs.label,
-                                       cfg_.machine.freq_ghz, cfg_.threads);
-    c.pmu = pmu_data();
-    c.metrics = metrics_data();
-    obs::Registry::global().add(std::move(c));
+    obs::Registry::global().add(obs::make_capture(
+        *sink_, cfg_.obs.label, cfg_.machine.freq_ghz, cfg_.threads,
+        pmu_data(), metrics_data()));
   }
 }
 

@@ -184,6 +184,7 @@ class TxRuntime {
   obs::Pmu* pmu() { return pmu_.get(); }
   // Finalized PMU data — counters, cycle attribution, energy split,
   // histograms, samples. Empty unless cfg.obs.enabled; valid after run().
+  // Elide-lock rows are unnamed here; obs::make_capture names them.
   std::optional<obs::PmuData> pmu_data() const;
   // The windowed metrics hub (null unless cfg.obs.enabled and
   // cfg.obs.metrics.window_cycles > 0). Subscribe before run() for live

@@ -16,6 +16,20 @@ Word owner_token(core::TxCtx& ctx) { return static_cast<Word>(ctx.id()) + 1; }
 
 }  // namespace
 
+void ElideStats::merge(const ElideStats& o) {
+  acquisitions += o.acquisitions;
+  attempts += o.attempts;
+  elided += o.elided;
+  busy_waits += o.busy_waits;
+  aborts += o.aborts;
+  fallbacks += o.fallbacks;
+  lock_acquires += o.lock_acquires;
+  self_stops += o.self_stops;
+  cycles_elided += o.cycles_elided;
+  cycles_wasted += o.cycles_wasted;
+  stopped = stopped || o.stopped;
+}
+
 namespace detail {
 
 LockBase::LockBase(core::TxRuntime& rt, std::string name,
@@ -33,7 +47,7 @@ LockBase::LockBase(core::TxRuntime& rt, std::string name,
     rt.machine().poke(base_ + i * sim::kLineBytes, 0);
   }
   if (obs::TraceSink* s = rt.trace_sink()) {
-    s->elide_lock_name(id_, name_);
+    s->set_lock_name(id_, name_);
     s->set_site_name(site_, "elide:" + name_);
   }
 }
@@ -66,8 +80,12 @@ void LockBase::account(core::TxCtx& ctx, obs::ElideAcqKind kind,
     }
   }
   if (obs::TraceSink* s = rt_.trace_sink()) {
-    s->elide_acquire(id_, ctx.id(), ctx.now(), kind, attempts, elided_c,
-                     wasted_c, tripped);
+    const obs::ElideAcquisition a{id_, kind, tripped, attempts, elided_c,
+                                  wasted_c};
+    s->emit({.kind = obs::EventKind::kElideAcquire,
+             .ctx = ctx.id(),
+             .t = ctx.now(),
+             .payload = {.elide = &a}});
   }
 }
 

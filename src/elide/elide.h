@@ -76,6 +76,9 @@ struct ElideStats {
   Cycles cycles_elided = 0;   // inside committed speculative attempts
   Cycles cycles_wasted = 0;   // inside attempts that did not commit
   bool stopped = false;       // elision disabled by the self-stop heuristic
+
+  // Adds `o`'s counters; `stopped` becomes true if either was stopped.
+  void merge(const ElideStats& o);
 };
 
 namespace detail {

@@ -31,12 +31,12 @@ void HleLock::critical_section(util::FnRef<void()> body) {
     if (try_elided(body)) return;
     // Hardware re-elision: no software backoff exists in HLE.
     if (sink_ && a + 1 < attempts_) {
-      sink_->retry_decision(m_.current_ctx(), m_.now(), false, 0);
+      sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), false));
     }
   }
   // Hardware falls back to the real acquisition: the lock word write
   // conflicts with every concurrent elided section, aborting them all.
-  if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), true, 0);
+  if (sink_) sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), true));
   ++stats_.lock_acquisitions;
   lock_.lock();
   hooks_.on_begin();

@@ -61,7 +61,7 @@ class HleLock {
   // lock is still held (so src/check seals sections in visibility order);
   // `abort` after every failed attempt. Used by the runtime for
   // heap-allocation scoping and history recording.
-  void set_scope_hooks(ScopeHooks hooks) { hooks_ = std::move(hooks); }
+  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
 
   // Optional observability sink (src/obs): reports re-elision and
   // lock-acquisition decisions. Attempt events flow via the machine's
@@ -77,7 +77,7 @@ class HleLock {
   sync::TasSpinLock lock_;
   uint32_t attempts_;
   HleStats stats_;
-  ScopeHooks hooks_;
+  core::ScopeHooks hooks_;
   obs::TraceSink* sink_ = nullptr;
 };
 

@@ -155,14 +155,16 @@ void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
     // With the default kNone shape this is 0 and must not reach compute():
     // an extra scheduling point would perturb deterministic schedules.
     Cycles wait = policy_.backoff_cycles(retries, m_.setup_rng());
-    if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), false, wait);
+    if (sink_) {
+      sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), false, wait));
+    }
     if (wait) m_.compute(wait);
   }
 
   // Serial fallback. With kNoSubscription this is unsafe against running
   // transactions (the ablation measures exactly that); with subscription it
   // aborts all of them via the lock line.
-  if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), true, 0);
+  if (sink_) sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), true));
   Cycles t0 = m_.now();
   ++total_.fallbacks;
   ++sites_[site_idx].second.fallbacks;

@@ -16,10 +16,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/retry_policy.h"
+#include "core/scope_hooks.h"
 #include "sim/machine.h"
 #include "sim/types.h"
 #include "sync/spinlock.h"
@@ -98,18 +98,6 @@ struct RtmStats {
   void merge(const RtmStats& o);
 };
 
-// Hooks bracketing every speculative attempt and the fallback execution,
-// used by the simulated heap to undo allocations of aborted attempts.
-struct ScopeHooks {
-  std::function<void()> begin;
-  std::function<void()> commit;
-  std::function<void()> abort;
-
-  void on_begin() const { if (begin) begin(); }
-  void on_commit() const { if (commit) commit(); }
-  void on_abort() const { if (abort) abort(); }
-};
-
 // Algorithm 1: transactional execution with serial-lock fallback. One
 // executor per Machine; all threads share it (its mutable statistics are
 // per-context, merged on demand, so fibers never race on counters — not
@@ -124,7 +112,7 @@ class RtmExecutor {
   // Host-side initialization of the lock words.
   void init();
 
-  void set_scope_hooks(ScopeHooks hooks) { hooks_ = std::move(hooks); }
+  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
 
   // Optional observability sink (src/obs): execute() declares the call site
   // to it and reports every retry-policy decision (backoff length, fallback
@@ -164,7 +152,7 @@ class RtmExecutor {
   Machine& m_;
   sync::SerialRwLock lock_;
   core::RetryPolicy policy_;
-  ScopeHooks hooks_;
+  core::ScopeHooks hooks_;
   obs::TraceSink* sink_ = nullptr;
   uint64_t lock_line_;
   std::array<PerCtx, sim::kMaxCtxs> per_ctx_{};

@@ -120,7 +120,7 @@ void write_capture(Emitter& em, const Capture& c, int pid) {
                (e.decision ? "fallback" : "retry") +
                "\",\"args\":{\"site\":\"" +
                util::json_escape(site_label(c, e.site)) +
-               "\",\"backoff_cycles\":" + std::to_string(e.backoff) + "}}");
+               "\",\"backoff_cycles\":" + std::to_string(e.cycles) + "}}");
         break;
       case EventKind::kEnergy: {
         Event ce = e;
@@ -131,6 +131,9 @@ void write_capture(Emitter& em, const Capture& c, int pid) {
                ",\"aborts\":" + std::to_string(e.aborts) + "}}");
         break;
       }
+      case EventKind::kLockSection:
+      case EventKind::kElideAcquire:
+        break;  // fold-only kinds never enter the ring
     }
   }
   // Transactions still open when tracing ended.

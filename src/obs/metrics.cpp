@@ -15,7 +15,7 @@ namespace tsx::obs {
 double MetricsWindow::conflict_share() const {
   uint64_t all = aborts();
   if (!all) return 0.0;
-  // STM aborts are data conflicts by construction (see TraceSink::stm_abort).
+  // STM aborts are data conflicts by construction (see StmExecutor).
   uint64_t conf =
       aborts_by_reason[static_cast<size_t>(sim::AbortReason::kConflict)] +
       stm_aborts;
@@ -112,7 +112,7 @@ std::optional<PhaseEvent> PhaseDetector::update(const MetricsWindow& w) {
 // ---- MetricsHub ----
 
 MetricsHub::MetricsHub(MetricsConfig cfg)
-    : cfg_(cfg), ctx_(sim::kMaxCtxs), live_detector_(cfg) {
+    : cfg_(cfg), live_detector_(cfg) {
   if (cfg_.window_cycles == 0) cfg_.window_cycles = 1;  // defensive
 }
 
@@ -153,109 +153,60 @@ void MetricsHub::seal_through(size_t end_index) {
   }
 }
 
-void MetricsHub::hw_begin(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  ++window_at(t).hw_starts;
-  if (ctx >= ctx_.size()) return;
-  ctx_[ctx].open = true;
-  ctx_[ctx].begin_t = t;
-}
-
-void MetricsHub::hw_commit(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.hw_commits;
-  if (ctx >= ctx_.size() || !ctx_[ctx].open) return;
-  ctx_[ctx].open = false;
-  sim::Cycles begin = ctx_[ctx].begin_t;
-  w.committed_cycles += t >= begin ? t - begin : 0;
-}
-
-void MetricsHub::hw_abort(sim::CtxId ctx, sim::Cycles t,
-                          sim::AbortReason reason, uint32_t victim_site,
-                          uint32_t attacker_site) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.hw_aborts;
-  ++w.aborts_by_misc[static_cast<size_t>(sim::misc_bucket_for(reason))];
-  ++w.aborts_by_reason[static_cast<size_t>(reason)];
-  sim::Cycles wasted = 0;
-  if (ctx < ctx_.size() && ctx_[ctx].open) {
-    ctx_[ctx].open = false;
-    sim::Cycles begin = ctx_[ctx].begin_t;
-    wasted = t >= begin ? t - begin : 0;
-    w.wasted_cycles += wasted;
+void MetricsHub::on(const Event& e) {
+  // Evictions and counter samples are not windowed, nor is a decision to
+  // retry speculatively.
+  if (e.kind == EventKind::kEvict || e.kind == EventKind::kEnergy ||
+      (e.kind == EventKind::kRetry && !e.decision)) {
+    return;
   }
-  uint64_t key = attacker_site != kNoSite ? flame_attacker_key(attacker_site)
-                                          : flame_reason_key(reason);
-  flame_[victim_site][key] += wasted;
-}
-
-void MetricsHub::stm_begin(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  ++window_at(t).stm_starts;
-  if (ctx >= ctx_.size()) return;
-  ctx_[ctx].open = true;
-  ctx_[ctx].begin_t = t;
-}
-
-void MetricsHub::stm_commit(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.stm_commits;
-  if (ctx >= ctx_.size() || !ctx_[ctx].open) return;
-  ctx_[ctx].open = false;
-  sim::Cycles begin = ctx_[ctx].begin_t;
-  w.committed_cycles += t >= begin ? t - begin : 0;
-}
-
-void MetricsHub::stm_abort(sim::CtxId ctx, sim::Cycles t, uint32_t victim_site,
-                           uint32_t attacker_site) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.stm_aborts;
-  sim::Cycles wasted = 0;
-  if (ctx < ctx_.size() && ctx_[ctx].open) {
-    ctx_[ctx].open = false;
-    sim::Cycles begin = ctx_[ctx].begin_t;
-    wasted = t >= begin ? t - begin : 0;
-    w.wasted_cycles += wasted;
+  note_time(e.t);
+  MetricsWindow& w = window_at(e.t);
+  const bool stm = e.flags & kFlagStm;
+  switch (e.kind) {
+    case EventKind::kTxBegin:
+      ++(stm ? w.stm_starts : w.hw_starts);
+      break;
+    case EventKind::kTxCommit:
+      ++(stm ? w.stm_commits : w.hw_commits);
+      w.committed_cycles += e.cycles;
+      break;
+    case EventKind::kTxAbort: {
+      if (stm) {
+        ++w.stm_aborts;
+      } else {
+        ++w.hw_aborts;
+        ++w.aborts_by_misc[static_cast<size_t>(sim::misc_bucket_for(e.reason))];
+        ++w.aborts_by_reason[static_cast<size_t>(e.reason)];
+      }
+      w.wasted_cycles += e.cycles;
+      // An unpaired abort still gets its (zero-cycle) flame edge.
+      uint64_t key = e.attributed() ? flame_attacker_key(e.attacker_site)
+                                    : flame_reason_key(e.reason);
+      flame_[e.site][key] += e.cycles;
+      break;
+    }
+    case EventKind::kRetry:
+      ++w.fallbacks;
+      break;
+    case EventKind::kLockSection:
+      ++w.lock_sections;
+      w.lock_section_cycles += e.cycles;
+      break;
+    case EventKind::kElideAcquire: {
+      const ElideAcquisition& a = *e.payload.elide;
+      ElideWindowCounters& c = w.elide[a.lock];
+      ++c.acquisitions;
+      if (a.kind == ElideAcqKind::kElided) ++c.elided;
+      if (a.kind == ElideAcqKind::kFallback) ++c.fallbacks;
+      c.cycles_elided += a.cycles_elided;
+      c.cycles_wasted += a.cycles_wasted;
+      break;
+    }
+    case EventKind::kEvict:
+    case EventKind::kEnergy:
+      break;
   }
-  uint64_t key = attacker_site != kNoSite
-                     ? flame_attacker_key(attacker_site)
-                     : flame_reason_key(sim::AbortReason::kConflict);
-  flame_[victim_site][key] += wasted;
-}
-
-void MetricsHub::retry_decision(sim::CtxId ctx, sim::Cycles t, bool fallback) {
-  (void)ctx;
-  if (!fallback) return;
-  note_time(t);
-  ++window_at(t).fallbacks;
-}
-
-void MetricsHub::lock_section(sim::CtxId ctx, sim::Cycles t0, sim::Cycles t1) {
-  (void)ctx;
-  note_time(t1);
-  MetricsWindow& w = window_at(t1);
-  ++w.lock_sections;
-  w.lock_section_cycles += t1 >= t0 ? t1 - t0 : 0;
-}
-
-void MetricsHub::elide_lock_name(uint32_t lock, const std::string& name) {
-  lock_names_[lock] = name;
-}
-
-void MetricsHub::elide_acquire(uint32_t lock, sim::Cycles t, ElideAcqKind kind,
-                               sim::Cycles cycles_elided,
-                               sim::Cycles cycles_wasted) {
-  note_time(t);
-  ElideWindowCounters& e = window_at(t).elide[lock];
-  ++e.acquisitions;
-  if (kind == ElideAcqKind::kElided) ++e.elided;
-  if (kind == ElideAcqKind::kFallback) ++e.fallbacks;
-  e.cycles_elided += cycles_elided;
-  e.cycles_wasted += cycles_wasted;
 }
 
 MetricsData MetricsHub::finalize(sim::Cycles wall) {
@@ -277,7 +228,6 @@ MetricsData MetricsHub::finalize(sim::Cycles wall) {
   d.window_cycles = cfg_.window_cycles;
   d.windows = windows_;
   d.flame = flame_;
-  d.lock_names = lock_names_;
 
   // Authoritative phase pass: a fresh detector streamed over the exact
   // window series. The final window is excluded when it is partial (it
@@ -301,13 +251,6 @@ MetricsData MetricsHub::finalize(sim::Cycles wall) {
 // ---- Exporters ----
 
 namespace {
-
-std::string resolved_site_name(const Capture& c, uint32_t site) {
-  auto it = c.site_names.find(site);
-  if (it != c.site_names.end()) return it->second;
-  if (site == kNoSite) return "(none)";
-  return "site#" + std::to_string(site);
-}
 
 std::string lock_label(const MetricsData& m, uint32_t lock) {
   auto it = m.lock_names.find(lock);
@@ -470,10 +413,9 @@ void write_flamegraph(std::ostream& os, const std::vector<Capture>& captures) {
     for (const auto& [victim, edges] : c.metrics->flame) {
       for (const auto& [key, cycles] : edges) {
         if (!cycles) continue;  // zero-weight stacks only add noise
-        os << c.label << ";" << resolved_site_name(c, victim) << ";";
+        os << c.label << ";" << site_name(c, victim) << ";";
         if (key & kFlameAttackerBit) {
-          os << resolved_site_name(
-              c, static_cast<uint32_t>(key & 0xffffffffull));
+          os << site_name(c, static_cast<uint32_t>(key & 0xffffffffull));
         } else {
           os << "["
              << sim::abort_reason_name(static_cast<sim::AbortReason>(key))

@@ -1,9 +1,8 @@
 #pragma once
-// MetricsHub: the live metrics plane on top of the TraceSink forwarding
-// seam.
+// MetricsHub: the live metrics plane, one of TraceSink's event folds.
 //
 // Where the Pmu accumulates whole-run totals and only yields PmuData at
-// finalize(), the hub folds the same event stream incrementally into fixed
+// finalize(), the hub folds the same events incrementally into fixed
 // simulated-time windows and maintains per-window derived signals — abort
 // rate by MISC bucket, conflict/capacity mix, wasted-cycle share, fallback
 // rate, per-lock elided share — plus an online EWMA/CUSUM phase-change
@@ -18,9 +17,10 @@
 // construction — regardless of the slight cross-context reordering the
 // scheduler's per-context clocks produce. Cycle deltas (committed/wasted)
 // are attributed to the window containing the attempt's *closing* event,
-// mirroring the Pmu's accounting. Like the Pmu and SiteAgg, all aggregation
-// happens at emission time and never replays the lossy event ring, so the
-// per-site wasted-cycle flame profile stays exact after the ring wraps.
+// using the attempt window the sink paired once for every fold. Like the
+// Pmu and SiteAgg, all aggregation happens at emission time and never
+// replays the lossy event ring, so the per-site wasted-cycle flame profile
+// stays exact after the ring wraps.
 //
 // All of this is host-side bookkeeping on simulated timestamps: an
 // installed hub performs no simulated machine operation and never perturbs
@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/pmu.h"
+#include "obs/events.h"
 #include "sim/types.h"
 
 namespace tsx::obs {
@@ -58,7 +58,7 @@ struct ElideWindowCounters {
 struct MetricsWindow {
   sim::Cycles start = 0;
 
-  // Hardware transaction lifecycle (machine forwarders).
+  // Hardware transaction lifecycle (the machine's ObsHooks).
   uint64_t hw_starts = 0;
   uint64_t hw_commits = 0;
   uint64_t hw_aborts = 0;
@@ -74,9 +74,9 @@ struct MetricsWindow {
 
   uint64_t fallbacks = 0;  // retry-policy serial-fallback decisions
 
-  // Lock-backend critical sections (hub-only seam; see
-  // TraceSink::lock_section) so kLock/kCas runs produce a per-window
-  // activity signal without any ring/PMU change.
+  // Lock-backend critical sections (EventKind::kLockSection, folded by the
+  // hub only) so kLock/kCas runs produce a per-window activity signal
+  // without any ring/PMU change.
   uint64_t lock_sections = 0;
   sim::Cycles lock_section_cycles = 0;
 
@@ -198,7 +198,7 @@ struct MetricsData {
   std::vector<MetricsWindow> windows;
   std::vector<PhaseEvent> phases;  // detector run over the exact series
   FlameProfile flame;
-  std::map<uint32_t, std::string> lock_names;
+  std::map<uint32_t, std::string> lock_names;  // from the sink (make_capture)
 };
 
 // ---- The hub ----
@@ -207,22 +207,8 @@ class MetricsHub {
  public:
   explicit MetricsHub(MetricsConfig cfg);
 
-  // ---- Feed (TraceSink forwards; sites pre-resolved by the sink) ----
-  void hw_begin(sim::CtxId ctx, sim::Cycles t);
-  void hw_commit(sim::CtxId ctx, sim::Cycles t);
-  // `attacker_site` is kNoSite unless the abort has a distinct attributed
-  // attacker (mirrors the sink's attacker_sites accounting).
-  void hw_abort(sim::CtxId ctx, sim::Cycles t, sim::AbortReason reason,
-                uint32_t victim_site, uint32_t attacker_site);
-  void stm_begin(sim::CtxId ctx, sim::Cycles t);
-  void stm_commit(sim::CtxId ctx, sim::Cycles t);
-  void stm_abort(sim::CtxId ctx, sim::Cycles t, uint32_t victim_site,
-                 uint32_t attacker_site);
-  void retry_decision(sim::CtxId ctx, sim::Cycles t, bool fallback);
-  void lock_section(sim::CtxId ctx, sim::Cycles t0, sim::Cycles t1);
-  void elide_lock_name(uint32_t lock, const std::string& name);
-  void elide_acquire(uint32_t lock, sim::Cycles t, ElideAcqKind kind,
-                     sim::Cycles cycles_elided, sim::Cycles cycles_wasted);
+  // Folds one completed event (TraceSink::emit calls this).
+  void on(const Event& e);
 
   // ---- Live subscription (the AdaptivePolicy seam) ----
   // Called once per sealed window, in window order, with the phase boundary
@@ -235,28 +221,18 @@ class MetricsHub {
       std::function<void(const MetricsWindow&, const std::optional<PhaseEvent>&)>;
   void subscribe(WindowCallback cb) { subscribers_.push_back(std::move(cb)); }
 
-  sim::Cycles window_cycles() const { return cfg_.window_cycles; }
-  const MetricsConfig& config() const { return cfg_; }
-
   // Seals every remaining window, replays a fresh detector over the exact
   // window series (identical statistics to the live pass once stragglers
   // are included), and returns the immutable result.
   MetricsData finalize(sim::Cycles wall);
 
  private:
-  struct CtxState {
-    bool open = false;
-    sim::Cycles begin_t = 0;
-  };
-
   MetricsWindow& window_at(sim::Cycles t);
   void note_time(sim::Cycles t);
   void seal_through(size_t end_index);  // seals windows [sealed_, end_index)
 
   MetricsConfig cfg_;
   std::vector<MetricsWindow> windows_;
-  std::vector<CtxState> ctx_;
-  std::map<uint32_t, std::string> lock_names_;
   FlameProfile flame_;
   std::vector<WindowCallback> subscribers_;
   PhaseDetector live_detector_;

@@ -10,89 +10,74 @@ namespace tsx::obs {
 
 Pmu::Pmu(uint32_t threads) : threads_(threads), ctx_(threads) {}
 
-void Pmu::tx_begin(sim::CtxId ctx, sim::Cycles t, bool stm) {
-  if (stm) ++stm_starts_;
-  if (ctx >= ctx_.size()) return;
-  CtxState& c = ctx_[ctx];
-  if (c.open) ++mismatched_;  // begin with an attempt still open
-  c.open = true;
-  c.begin_t = t;
-}
-
-void Pmu::tx_commit(sim::CtxId ctx, sim::Cycles t, bool stm) {
-  if (stm) ++stm_commits_;
-  if (ctx >= ctx_.size()) return;
-  CtxState& c = ctx_[ctx];
-  if (!c.open) {
-    ++mismatched_;
-    return;
+void Pmu::on(const Event& e) {
+  const bool stm = e.flags & kFlagStm;
+  const bool unpaired = e.flags & kFlagUnpaired;
+  switch (e.kind) {
+    case EventKind::kTxBegin:
+      if (stm) ++stm_starts_;
+      if (e.ctx >= threads_) break;
+      if (unpaired) {
+        ++mismatched_;  // begin with an attempt still open
+      } else {
+        ++open_attempts_;
+      }
+      break;
+    case EventKind::kTxCommit:
+    case EventKind::kTxAbort: {
+      const bool commit = e.kind == EventKind::kTxCommit;
+      if (stm) ++(commit ? stm_commits_ : stm_aborts_);
+      if (e.ctx >= threads_) break;
+      if (unpaired) {
+        ++mismatched_;
+        break;
+      }
+      --open_attempts_;
+      CtxTotals& c = ctx_[e.ctx];
+      if (commit) {
+        c.committed += e.cycles;
+        tx_duration_.record(e.cycles);
+        retries_.record(c.abort_streak);
+        c.abort_streak = 0;
+      } else {
+        c.wasted += e.cycles;
+        abort_latency_.record(e.cycles);
+        ++c.abort_streak;
+      }
+      break;
+    }
+    case EventKind::kRetry:
+      if (!e.decision) break;
+      ++fallbacks_;
+      if (e.ctx >= threads_) break;
+      // The fallback execution commits the transaction outside any attempt
+      // window; close this transaction's retry count here.
+      retries_.record(ctx_[e.ctx].abort_streak);
+      ctx_[e.ctx].abort_streak = 0;
+      break;
+    case EventKind::kEnergy:
+      sample(e.t, *e.payload.stats);
+      break;
+    case EventKind::kElideAcquire: {
+      const ElideAcquisition& a = *e.payload.elide;
+      ElideLockCounters& c = elide_[a.lock];
+      c.lock = a.lock;
+      ++c.acquisitions;
+      c.attempts += a.attempts;
+      switch (a.kind) {
+        case ElideAcqKind::kElided: ++c.elided; break;
+        case ElideAcqKind::kFallback: ++c.fallbacks; break;
+        case ElideAcqKind::kLocked: ++c.lock_acquires; break;
+      }
+      if (a.self_stopped) ++c.self_stops;
+      c.cycles_elided += a.cycles_elided;
+      c.cycles_wasted += a.cycles_wasted;
+      break;
+    }
+    case EventKind::kEvict:
+    case EventKind::kLockSection:
+      break;
   }
-  c.open = false;
-  sim::Cycles dur = t >= c.begin_t ? t - c.begin_t : 0;
-  c.committed += dur;
-  tx_duration_.record(dur);
-  retries_.record(c.abort_streak);
-  c.abort_streak = 0;
-}
-
-void Pmu::tx_abort(sim::CtxId ctx, sim::Cycles t, bool stm) {
-  if (stm) ++stm_aborts_;
-  if (ctx >= ctx_.size()) return;
-  CtxState& c = ctx_[ctx];
-  if (!c.open) {
-    ++mismatched_;
-    return;
-  }
-  c.open = false;
-  sim::Cycles dur = t >= c.begin_t ? t - c.begin_t : 0;
-  c.wasted += dur;
-  abort_latency_.record(dur);
-  ++c.abort_streak;
-}
-
-void Pmu::retry_decision(sim::CtxId ctx, bool fallback) {
-  if (!fallback) return;
-  ++fallbacks_;
-  if (ctx >= ctx_.size()) return;
-  // The fallback execution commits the transaction outside any attempt
-  // window; close this transaction's retry count here.
-  retries_.record(ctx_[ctx].abort_streak);
-  ctx_[ctx].abort_streak = 0;
-}
-
-void Pmu::elide_lock_name(uint32_t lock, const std::string& name) {
-  ElideLockCounters& e = elide_[lock];
-  e.lock = lock;
-  e.name = name;
-}
-
-void Pmu::elide_acquire(uint32_t lock, ElideAcqKind kind, uint64_t attempts,
-                        sim::Cycles cycles_elided, sim::Cycles cycles_wasted,
-                        bool self_stopped) {
-  ElideLockCounters& e = elide_[lock];
-  e.lock = lock;
-  ++e.acquisitions;
-  e.attempts += attempts;
-  switch (kind) {
-    case ElideAcqKind::kElided: ++e.elided; break;
-    case ElideAcqKind::kFallback: ++e.fallbacks; break;
-    case ElideAcqKind::kLocked: ++e.lock_acquires; break;
-  }
-  if (self_stopped) ++e.self_stops;
-  e.cycles_elided += cycles_elided;
-  e.cycles_wasted += cycles_wasted;
-}
-
-sim::Cycles Pmu::committed_cycles() const {
-  sim::Cycles s = 0;
-  for (const CtxState& c : ctx_) s += c.committed;
-  return s;
-}
-
-sim::Cycles Pmu::wasted_cycles() const {
-  sim::Cycles s = 0;
-  for (const CtxState& c : ctx_) s += c.wasted;
-  return s;
 }
 
 void Pmu::sample(sim::Cycles t, const sim::MachineStats& stats) {
@@ -112,8 +97,10 @@ void Pmu::sample(sim::Cycles t, const sim::MachineStats& stats) {
     s.aborts_misc[i] = stats.tx.aborts_by_misc[i];
   }
   s.fallbacks = fallbacks_;
-  s.committed_cycles = committed_cycles();
-  s.wasted_cycles = wasted_cycles();
+  for (const CtxTotals& c : ctx_) {
+    s.committed_cycles += c.committed;
+    s.wasted_cycles += c.wasted;
+  }
   samples_.push_back(s);
 }
 
@@ -132,7 +119,8 @@ PmuData Pmu::finalize(const sim::MachineStats& machine, sim::Cycles wall,
   d.stm_commits = stm_commits_;
   d.stm_aborts = stm_aborts_;
   d.fallbacks = fallbacks_;
-  d.mismatched = mismatched_;
+  // Attempts never closed (body threw out) count as mismatched too.
+  d.mismatched = mismatched_ + open_attempts_;
   d.tx_duration = tx_duration_;
   d.abort_latency = abort_latency_;
   d.retries = retries_;
@@ -141,9 +129,8 @@ PmuData Pmu::finalize(const sim::MachineStats& machine, sim::Cycles wall,
   // ---- Per-context cycle identity ----
   d.ctx.resize(threads_);
   for (uint32_t i = 0; i < threads_; ++i) {
-    const CtxState& c = ctx_[i];
+    const CtxTotals& c = ctx_[i];
     PmuCtxSplit& s = d.ctx[i];
-    if (c.open) ++d.mismatched;  // attempt never closed (body threw out)
     s.committed = c.committed;
     s.wasted = c.wasted;
     s.finish = i < ctx_finish.size() ? ctx_finish[i] : 0;
@@ -231,12 +218,7 @@ PmuData Pmu::finalize(const sim::MachineStats& machine, sim::Cycles wall,
   add("fallbacks", "(software: retry-policy fallbacks)", fallbacks_);
 
   // ---- Per-lock elision statistics (map iteration: sorted by lock id) ----
-  for (const auto& [id, e] : elide_) {
-    d.elide.push_back(e);
-    if (d.elide.back().name.empty()) {
-      d.elide.back().name = "lock#" + std::to_string(id);
-    }
-  }
+  for (const auto& [id, e] : elide_) d.elide.push_back(e);
   return d;
 }
 

@@ -5,13 +5,13 @@
 // The paper reads Haswell TSX through libpfm4 perf events
 // (RTM_RETIRED.START/COMMIT/ABORTED, the ABORTED_MISC1-5 buckets,
 // TX_MEM.ABORT_*) plus RAPL energy windows. The Pmu gives tsxlab the same
-// surface: it listens to the attempt lifecycle (hardware transactions via
-// the machine's ObsHooks, software transactions via the STM executor — both
-// already flow through TraceSink, which forwards here), attributes every
-// per-hardware-thread cycle into committed-tx / wasted-tx / non-tx / idle
-// with an enforced identity (the four buckets tile [0, wall] exactly), and
-// derives the committed-vs-wasted energy split the paper's "energy thrown
-// away in aborted work" analysis needs.
+// surface: it folds the attempt lifecycle (hardware transactions via the
+// machine's ObsHooks, software transactions via the STM executor — both
+// arrive as TraceSink events already paired into attempt windows),
+// attributes every per-hardware-thread cycle into committed-tx / wasted-tx /
+// non-tx / idle with an enforced identity (the four buckets tile [0, wall]
+// exactly), and derives the committed-vs-wasted energy split the paper's
+// "energy thrown away in aborted work" analysis needs.
 //
 // Like TraceSink's SiteAgg, all aggregation is incremental at emission time
 // and never replays the (lossy) event ring, so the counters are exact
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/events.h"
 #include "obs/histogram.h"
 #include "sim/energy_model.h"
 #include "sim/stats.h"
@@ -82,14 +83,6 @@ struct PerfCounter {
   std::string name;     // perf-style short name, e.g. "tx-abort-misc2"
   std::string haswell;  // real event, e.g. "RTM_RETIRED.ABORTED_MISC2"
   uint64_t value = 0;
-};
-
-// How one elide-lock acquisition protocol completed (src/elide reports one
-// event per completed acquisition, with attempt/cycle deltas).
-enum class ElideAcqKind : uint8_t {
-  kElided = 0,    // section committed speculatively
-  kFallback = 1,  // attempt budget exhausted; section ran under the lock
-  kLocked = 2,    // explicit non-speculative hold (lock()/locked_section)
 };
 
 // Per-lock elision counters, the txlock-style stats table. `attempts`
@@ -174,7 +167,7 @@ struct PmuData {
   std::vector<PerfCounter> counters;  // the perf-stat event list
 
   // Per-lock elision statistics, sorted by lock id; empty when the run used
-  // no elide locks.
+  // no elide locks. Names come from the sink (filled by make_capture).
   std::vector<ElideLockCounters> elide;
 
   // Simulated-heap placement counters (present for every traced TxRuntime).
@@ -184,7 +177,8 @@ struct PmuData {
   // its context's clock (would make non_tx negative). Never expected; the
   // tier-1 identity tests assert it.
   bool identity_ok = true;
-  uint64_t mismatched = 0;  // commit/abort events without an open begin
+  // Unpaired attempt events (kFlagUnpaired) plus attempts never closed.
+  uint64_t mismatched = 0;
 };
 
 // Incremental accumulator, fed by TraceSink (one per traced TxRuntime).
@@ -192,20 +186,8 @@ class Pmu {
  public:
   explicit Pmu(uint32_t threads);
 
-  // ---- Feed (TraceSink forwards; `stm` distinguishes software attempts) ----
-  void tx_begin(sim::CtxId ctx, sim::Cycles t, bool stm);
-  void tx_commit(sim::CtxId ctx, sim::Cycles t, bool stm);
-  void tx_abort(sim::CtxId ctx, sim::Cycles t, bool stm);
-  void retry_decision(sim::CtxId ctx, bool fallback);
-  void sample(sim::Cycles t, const sim::MachineStats& stats);
-  void elide_lock_name(uint32_t lock, const std::string& name);
-  void elide_acquire(uint32_t lock, ElideAcqKind kind, uint64_t attempts,
-                     sim::Cycles cycles_elided, sim::Cycles cycles_wasted,
-                     bool self_stopped);
-
-  // Cumulative attributed cycles so far (used by the sampler).
-  sim::Cycles committed_cycles() const;
-  sim::Cycles wasted_cycles() const;
+  // Folds one completed event (TraceSink::emit calls this).
+  void on(const Event& e);
 
   // Closes the books: per-context identity, energy split, the perf-stat
   // counter list. `ctx_finish`/`ctx_busy` are per-hardware-thread clocks
@@ -216,16 +198,17 @@ class Pmu {
                    const sim::EnergyParams& energy, double freq_ghz) const;
 
  private:
-  struct CtxState {
-    bool open = false;
-    sim::Cycles begin_t = 0;
+  struct CtxTotals {
     sim::Cycles committed = 0;
     sim::Cycles wasted = 0;
     uint64_t abort_streak = 0;  // aborts since the last commit/fallback
   };
 
+  void sample(sim::Cycles t, const sim::MachineStats& stats);
+
   uint32_t threads_;
-  std::vector<CtxState> ctx_;
+  std::vector<CtxTotals> ctx_;
+  uint64_t open_attempts_ = 0;  // begun, not yet committed/aborted
   uint64_t stm_starts_ = 0;
   uint64_t stm_commits_ = 0;
   uint64_t stm_aborts_ = 0;

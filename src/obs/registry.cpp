@@ -5,7 +5,8 @@
 namespace tsx::obs {
 
 Capture make_capture(const TraceSink& sink, std::string label, double freq_ghz,
-                     uint32_t threads) {
+                     uint32_t threads, std::optional<PmuData> pmu,
+                     std::optional<MetricsData> metrics) {
   Capture c;
   c.label = std::move(label);
   c.freq_ghz = freq_ghz;
@@ -14,7 +15,30 @@ Capture make_capture(const TraceSink& sink, std::string label, double freq_ghz,
   c.dropped = sink.dropped();
   c.sites = sink.sites();
   c.site_names = sink.site_names();
+  c.pmu = std::move(pmu);
+  c.metrics = std::move(metrics);
+  if (c.pmu) {
+    std::map<uint32_t, ElideLockCounters> rows;
+    for (ElideLockCounters& e : c.pmu->elide) rows[e.lock] = std::move(e);
+    for (const auto& [id, name] : sink.lock_names()) {
+      rows[id].lock = id;
+      rows[id].name = name;
+    }
+    c.pmu->elide.clear();
+    for (auto& [id, e] : rows) {
+      if (e.name.empty()) e.name = "lock#" + std::to_string(id);
+      c.pmu->elide.push_back(std::move(e));
+    }
+  }
+  if (c.metrics) c.metrics->lock_names = sink.lock_names();
   return c;
+}
+
+std::string site_name(const Capture& c, uint32_t site) {
+  auto it = c.site_names.find(site);
+  if (it != c.site_names.end()) return it->second;
+  if (site == kNoSite) return "(none)";
+  return "site#" + std::to_string(site);
 }
 
 Registry& Registry::global() {
@@ -147,8 +171,8 @@ std::optional<uint64_t> Registry::metrics_digest() const {
       f.add(w.committed_cycles);
       f.add(w.wasted_cycles);
       f.add(static_cast<uint64_t>(w.elide.size()));
-      for (const auto& [lock, e] : w.elide) {
-        f.add(lock);
+      for (const auto& [id, e] : w.elide) {
+        f.add(id);
         f.add(e.acquisitions);
         f.add(e.elided);
         f.add(e.fallbacks);

@@ -37,9 +37,16 @@ struct Capture {
   std::optional<MetricsData> metrics;
 };
 
-// Builds an immutable capture from a sink's current state.
+// Builds an immutable capture from a sink's current state plus the run's
+// finalized PMU and metrics results, naming their elide locks from the
+// sink's lock names (a named lock with no acquisitions gets a zero row).
 Capture make_capture(const TraceSink& sink, std::string label, double freq_ghz,
-                     uint32_t threads);
+                     uint32_t threads, std::optional<PmuData> pmu = {},
+                     std::optional<MetricsData> metrics = {});
+
+// A site's report name: its registered name, "(none)" for kNoSite,
+// "site#N" otherwise.
+std::string site_name(const Capture& c, uint32_t site);
 
 class Registry {
  public:

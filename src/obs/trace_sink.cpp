@@ -4,20 +4,9 @@
 
 #include "obs/metrics.h"
 #include "obs/pmu.h"
+#include "sim/stats.h"
 
 namespace tsx::obs {
-
-const char* event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::kTxBegin: return "tx_begin";
-    case EventKind::kTxCommit: return "tx_commit";
-    case EventKind::kTxAbort: return "tx_abort";
-    case EventKind::kEvict: return "evict";
-    case EventKind::kRetry: return "retry";
-    case EventKind::kEnergy: return "energy";
-  }
-  return "?";
-}
 
 TraceSink::TraceSink(size_t capacity)
     : cap_(capacity), arena_(capacity * sizeof(Event)) {
@@ -27,187 +16,81 @@ TraceSink::TraceSink(size_t capacity)
 }
 
 void TraceSink::push(const Event& e) {
+  Event* slot;
   if (size_ < cap_) {
-    ring_[size_++] = e;
-    return;
+    slot = &ring_[size_++];
+  } else {
+    slot = &ring_[head_];  // overwrite the oldest
+    head_ = (head_ + 1) % cap_;
+    ++dropped_;
   }
-  ring_[head_] = e;  // overwrite the oldest
-  head_ = (head_ + 1) % cap_;
-  ++dropped_;
+  *slot = e;
+  slot->payload = {};  // points into the emitter's frame
 }
 
 void TraceSink::set_site(sim::CtxId ctx, uint32_t site) {
   if (ctx < cur_site_.size()) cur_site_[ctx] = site;
 }
 
-void TraceSink::retry_decision(sim::CtxId ctx, sim::Cycles t, bool fallback,
-                               sim::Cycles backoff) {
-  Event e;
-  e.kind = EventKind::kRetry;
-  e.ctx = ctx;
-  e.t = t;
-  e.site = cur_site(ctx);
-  e.decision = fallback ? 1 : 0;
-  e.backoff = backoff;
-  push(e);
-  if (fallback) ++sites_[e.site].fallbacks;
-  if (pmu_) pmu_->retry_decision(ctx, fallback);
-  if (hub_) hub_->retry_decision(ctx, t, fallback);
+void TraceSink::set_lock_name(uint32_t lock, std::string name) {
+  lock_names_[lock] = std::move(name);
 }
 
-void TraceSink::lock_section(sim::CtxId ctx, sim::Cycles t0, sim::Cycles t1) {
-  if (hub_) hub_->lock_section(ctx, t0, t1);
-}
-
-void TraceSink::elide_lock_name(uint32_t lock, const std::string& name) {
-  if (pmu_) pmu_->elide_lock_name(lock, name);
-  if (hub_) hub_->elide_lock_name(lock, name);
-}
-
-void TraceSink::elide_acquire(uint32_t lock, sim::CtxId ctx, sim::Cycles t,
-                              ElideAcqKind kind, uint64_t attempts,
-                              sim::Cycles cycles_elided,
-                              sim::Cycles cycles_wasted, bool self_stopped) {
-  // PMU/hub-only: per-lock counters are exact aggregates, not ring events,
-  // so elision-free traces (and their goldens) are unchanged. `ctx` is part
-  // of the seam for future per-thread attribution; the PMU aggregates per
-  // lock, the hub per lock per window.
-  (void)ctx;
-  if (pmu_) {
-    pmu_->elide_acquire(lock, kind, attempts, cycles_elided, cycles_wasted,
-                        self_stopped);
+void TraceSink::emit(Event e) {
+  switch (e.kind) {
+    case EventKind::kTxBegin:
+      if (e.site != kNoSite) {
+        set_site(e.ctx, e.site);
+      } else {
+        e.site = cur_site(e.ctx);
+      }
+      if (e.ctx < open_.size()) {
+        if (open_[e.ctx].open) e.flags |= kFlagUnpaired;
+        open_[e.ctx] = OpenAttempt{true, e.t};
+      }
+      ++sites_[e.site].attempts;
+      break;
+    case EventKind::kTxCommit:
+    case EventKind::kTxAbort: {
+      e.site = cur_site(e.ctx);
+      e.cycles = 0;
+      if (e.ctx < open_.size()) {
+        OpenAttempt& a = open_[e.ctx];
+        if (a.open) {
+          a.open = false;
+          e.cycles = e.t >= a.begin_t ? e.t - a.begin_t : 0;
+        } else {
+          e.flags |= kFlagUnpaired;
+        }
+      }
+      SiteAgg& agg = sites_[e.site];
+      if (e.kind == EventKind::kTxCommit) {
+        ++agg.commits;
+        break;
+      }
+      e.attacker_site = cur_site(e.attacker);
+      ++agg.aborts_by_reason[static_cast<size_t>(e.reason)];
+      if (e.line != ~0ull) ++agg.conflict_lines[e.line];
+      if (e.attributed()) ++agg.attacker_sites[e.attacker_site];
+      break;
+    }
+    case EventKind::kRetry:
+      e.site = cur_site(e.ctx);
+      if (e.decision) ++sites_[e.site].fallbacks;
+      break;
+    case EventKind::kEnergy:
+      e.ops = e.payload.stats->ops;
+      e.commits = e.payload.stats->tx.committed;
+      e.aborts = e.payload.stats->tx.aborted();
+      break;
+    case EventKind::kEvict:
+    case EventKind::kLockSection:
+    case EventKind::kElideAcquire:
+      break;
   }
-  if (hub_) hub_->elide_acquire(lock, t, kind, cycles_elided, cycles_wasted);
-}
-
-void TraceSink::tx_begin(sim::CtxId ctx, sim::Cycles t) {
-  Event e;
-  e.kind = EventKind::kTxBegin;
-  e.ctx = ctx;
-  e.t = t;
-  e.site = cur_site(ctx);
-  push(e);
-  ++sites_[e.site].attempts;
-  if (pmu_) pmu_->tx_begin(ctx, t, false);
-  if (hub_) hub_->hw_begin(ctx, t);
-}
-
-void TraceSink::tx_commit(sim::CtxId ctx, sim::Cycles t) {
-  Event e;
-  e.kind = EventKind::kTxCommit;
-  e.ctx = ctx;
-  e.t = t;
-  e.site = cur_site(ctx);
-  push(e);
-  ++sites_[e.site].commits;
-  if (pmu_) pmu_->tx_commit(ctx, t, false);
-  if (hub_) hub_->hw_commit(ctx, t);
-}
-
-void TraceSink::tx_abort(sim::CtxId victim, sim::Cycles t,
-                         sim::AbortReason reason, uint64_t line,
-                         sim::CtxId attacker) {
-  Event e;
-  e.kind = EventKind::kTxAbort;
-  e.ctx = victim;
-  e.t = t;
-  e.site = cur_site(victim);
-  e.reason = reason;
-  e.line = line;
-  e.attacker = attacker;
-  e.attacker_site = attacker < cur_site_.size() ? cur_site_[attacker] : kNoSite;
-  push(e);
-  SiteAgg& agg = sites_[e.site];
-  ++agg.aborts_by_reason[static_cast<size_t>(reason)];
-  if (line != ~0ull) ++agg.conflict_lines[line];
-  if (e.attacker_site != kNoSite && attacker != victim) {
-    ++agg.attacker_sites[e.attacker_site];
-  }
-  if (pmu_) pmu_->tx_abort(victim, t, false);
-  if (hub_) {
-    uint32_t attacker_site = e.attacker_site != kNoSite && attacker != victim
-                                 ? e.attacker_site
-                                 : kNoSite;
-    hub_->hw_abort(victim, t, reason, e.site, attacker_site);
-  }
-}
-
-void TraceSink::evict(sim::CtxId by, sim::Cycles t, int level, uint64_t line) {
-  Event e;
-  e.kind = EventKind::kEvict;
-  e.ctx = by;
-  e.t = t;
-  e.level = static_cast<uint8_t>(level);
-  e.line = line;
-  push(e);
-}
-
-void TraceSink::energy_sample(sim::Cycles t, const sim::MachineStats& stats) {
-  Event e;
-  e.kind = EventKind::kEnergy;
-  e.t = t;
-  e.ops = stats.ops;
-  e.commits = stats.tx.committed;
-  e.aborts = stats.tx.aborted();
-  push(e);
-  if (pmu_) pmu_->sample(t, stats);
-}
-
-void TraceSink::stm_begin(sim::CtxId ctx, sim::Cycles t, uint32_t site) {
-  set_site(ctx, site);
-  Event e;
-  e.kind = EventKind::kTxBegin;
-  e.flags = kFlagStm;
-  e.ctx = ctx;
-  e.t = t;
-  e.site = site;
-  push(e);
-  ++sites_[site].attempts;
-  if (pmu_) pmu_->tx_begin(ctx, t, true);
-  if (hub_) hub_->stm_begin(ctx, t);
-}
-
-void TraceSink::stm_commit(sim::CtxId ctx, sim::Cycles t) {
-  Event e;
-  e.kind = EventKind::kTxCommit;
-  e.flags = kFlagStm;
-  e.ctx = ctx;
-  e.t = t;
-  e.site = cur_site(ctx);
-  push(e);
-  ++sites_[e.site].commits;
-  if (pmu_) pmu_->tx_commit(ctx, t, true);
-  if (hub_) hub_->stm_commit(ctx, t);
-}
-
-void TraceSink::stm_abort(sim::CtxId ctx, sim::Cycles t, uint64_t line,
-                          sim::CtxId attacker) {
-  Event e;
-  e.kind = EventKind::kTxAbort;
-  e.flags = kFlagStm;
-  e.ctx = ctx;
-  e.t = t;
-  e.site = cur_site(ctx);
-  // STM aborts are data conflicts by construction (lock-word or validation
-  // failures); the precise software cause is reported by StmStats.
-  e.reason = sim::AbortReason::kConflict;
-  e.line = line;
-  e.attacker = attacker;
-  e.attacker_site = attacker < cur_site_.size() ? cur_site_[attacker] : kNoSite;
-  push(e);
-  SiteAgg& agg = sites_[e.site];
-  ++agg.aborts_by_reason[static_cast<size_t>(sim::AbortReason::kConflict)];
-  if (line != ~0ull) ++agg.conflict_lines[line];
-  if (e.attacker_site != kNoSite && attacker != ctx) {
-    ++agg.attacker_sites[e.attacker_site];
-  }
-  if (pmu_) pmu_->tx_abort(ctx, t, true);
-  if (hub_) {
-    uint32_t attacker_site = e.attacker_site != kNoSite && attacker != ctx
-                                 ? e.attacker_site
-                                 : kNoSite;
-    hub_->stm_abort(ctx, t, e.site, attacker_site);
-  }
+  if (is_ring_kind(e.kind)) push(e);
+  if (pmu_) pmu_->on(e);
+  if (hub_) hub_->on(e);
 }
 
 std::vector<Event> TraceSink::events() const {
@@ -225,13 +108,6 @@ std::vector<Event> TraceSink::events() const {
 
 void TraceSink::set_site_name(uint32_t site, std::string name) {
   site_names_[site] = std::move(name);
-}
-
-std::string TraceSink::site_name(uint32_t site) const {
-  auto it = site_names_.find(site);
-  if (it != site_names_.end()) return it->second;
-  if (site == kNoSite) return "(none)";
-  return "site#" + std::to_string(site);
 }
 
 }  // namespace tsx::obs

@@ -1,17 +1,24 @@
 #pragma once
-// TraceSink: a bounded ring buffer of typed trace events plus exact
-// per-call-site abort attribution.
+// TraceSink: the single entry point of the observability plane. Engines
+// hand it one Event per occurrence (emit); the sink completes the record
+// once and folds it into every consumer by direct call:
+//   * the bounded ring of trace events (ring kinds only),
+//   * exact per-call-site abort attribution (SiteAgg),
+//   * the simulated PMU (Pmu::on) and the windowed metrics hub
+//     (MetricsHub::on), when attached.
+//
+// Completing a record means: labelling attempt and retry events with the
+// context's current static call site (engines declare it with set_site),
+// resolving an abort's attacker context to the attacker's site, and pairing
+// each commit/abort with its context's open begin to fill the attempt
+// window (Event::cycles) — from one per-context open-attempt table, so every
+// fold sees the same pairing.
 //
 // The ring keeps the newest `capacity` events (oldest are overwritten and
-// counted in dropped()); the per-site aggregation is maintained
-// incrementally on every emission, so the abort-attribution table stays
-// exact even after the ring wraps.
-//
-// All emission is host-side work: pushing an event performs no simulated
-// machine operation, so an installed sink never perturbs simulated timing.
-// The sink learns each context's current static call site from the engines
-// (set_site) and uses it to label machine-level begin/commit/abort events
-// and to resolve an abort's attacker context to the attacker's site.
+// counted in dropped()); the folds are incremental, so attribution and
+// counters stay exact even after the ring wraps. All emission is host-side
+// work: it performs no simulated machine operation, so an installed sink
+// never perturbs simulated timing.
 
 #include <array>
 #include <cstdint>
@@ -20,15 +27,13 @@
 #include <vector>
 
 #include "obs/events.h"
-#include "sim/stats.h"
 #include "sim/types.h"
 #include "util/arena.h"
 
 namespace tsx::obs {
 
-class Pmu;
-class MetricsHub;                   // obs/metrics.h
-enum class ElideAcqKind : uint8_t;  // obs/pmu.h
+class Pmu;         // obs/pmu.h
+class MetricsHub;  // obs/metrics.h
 
 // Exact per-site attribution (independent of ring capacity).
 struct SiteAgg {
@@ -51,54 +56,17 @@ class TraceSink {
  public:
   explicit TraceSink(size_t capacity = 1 << 16);
 
-  // Optional simulated-PMU accumulator: every attempt-lifecycle emission,
-  // retry decision and counter sample is forwarded, so the PMU sees the
-  // exact event stream of all backends (hardware attempts arrive through
-  // the machine forwarders, software attempts through stm_*) without any
-  // executor knowing about it. Not owned.
+  // Optional consumers, not owned.
   void set_pmu(Pmu* pmu) { pmu_ = pmu; }
-
-  // Optional windowed-metrics hub (obs/metrics.h): the same forwarding seam
-  // as the PMU, but folded into fixed simulated-time windows with sites
-  // pre-resolved. Not owned.
   void set_hub(MetricsHub* hub) { hub_ = hub; }
 
-  // ---- Engine-side ----
   // Declares `site` as ctx's current static call site (host-side, no
   // event). Engines call this at the top of every execute().
   void set_site(sim::CtxId ctx, uint32_t site);
-  // Records a retry-policy decision after a failed attempt.
-  void retry_decision(sim::CtxId ctx, sim::Cycles t, bool fallback,
-                      sim::Cycles backoff);
-  // One completed lock-backend critical section [t0, t1). Hub-only (no ring
-  // event, no PMU counter): it gives kLock/kCas runs a per-window activity
-  // signal while leaving every pre-hub trace, report and digest unchanged.
-  void lock_section(sim::CtxId ctx, sim::Cycles t0, sim::Cycles t1);
 
-  // ---- Machine ObsHooks forwarders (hardware transactions) ----
-  void tx_begin(sim::CtxId ctx, sim::Cycles t);
-  void tx_commit(sim::CtxId ctx, sim::Cycles t);
-  void tx_abort(sim::CtxId victim, sim::Cycles t, sim::AbortReason reason,
-                uint64_t line, sim::CtxId attacker);
-  void evict(sim::CtxId by, sim::Cycles t, int level, uint64_t line);
-  // Sample-window boundary (the machine's unified counter-sampling path;
-  // kEnergy events keep their historical name).
-  void energy_sample(sim::Cycles t, const sim::MachineStats& stats);
-
-  // ---- STM attempt lifecycle (software transactions bypass the machine's
-  // hardware-tx state, so the STM executor reports them directly) ----
-  void stm_begin(sim::CtxId ctx, sim::Cycles t, uint32_t site);
-  void stm_commit(sim::CtxId ctx, sim::Cycles t);
-  void stm_abort(sim::CtxId ctx, sim::Cycles t, uint64_t line,
-                 sim::CtxId attacker);
-
-  // ---- Elide-lock reporting (src/elide; PMU-only, no ring events, so
-  // existing trace goldens are unaffected by elision-free runs) ----
-  void elide_lock_name(uint32_t lock, const std::string& name);
-  void elide_acquire(uint32_t lock, sim::CtxId ctx, sim::Cycles t,
-                     ElideAcqKind kind, uint64_t attempts,
-                     sim::Cycles cycles_elided, sim::Cycles cycles_wasted,
-                     bool self_stopped);
+  // Completes `e` (see above) and folds it into the ring and every
+  // attached consumer.
+  void emit(Event e);
 
   // ---- Inspection / export ----
   // Events oldest -> newest (at most `capacity`).
@@ -112,12 +80,23 @@ class TraceSink {
 
   // Optional human-readable site names for reports ("site#N" otherwise).
   void set_site_name(uint32_t site, std::string name);
-  std::string site_name(uint32_t site) const;
   const std::map<uint32_t, std::string>& site_names() const {
     return site_names_;
   }
 
+  // Elide-lock names, keyed by lock id (make_capture copies them into the
+  // PMU and metrics results).
+  void set_lock_name(uint32_t lock, std::string name);
+  const std::map<uint32_t, std::string>& lock_names() const {
+    return lock_names_;
+  }
+
  private:
+  struct OpenAttempt {
+    bool open = false;
+    sim::Cycles begin_t = 0;
+  };
+
   void push(const Event& e);
   uint32_t cur_site(sim::CtxId ctx) const {
     return ctx < cur_site_.size() ? cur_site_[ctx] : kNoSite;
@@ -134,8 +113,10 @@ class TraceSink {
   size_t dropped_ = 0;
 
   std::array<uint32_t, sim::kMaxCtxs> cur_site_;
+  std::array<OpenAttempt, sim::kMaxCtxs> open_{};
   std::map<uint32_t, SiteAgg> sites_;
   std::map<uint32_t, std::string> site_names_;
+  std::map<uint32_t, std::string> lock_names_;
   Pmu* pmu_ = nullptr;
   MetricsHub* hub_ = nullptr;
 };

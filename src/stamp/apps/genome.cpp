@@ -10,7 +10,6 @@ namespace tsx::stamp {
 
 AppResult run_genome(const core::RunConfig& run_cfg, const GenomeConfig& app) {
   core::TxRuntime rt(run_cfg);
-  auto& m = rt.machine();
   uint32_t n = run_cfg.threads;
   const uint64_t G = app.gene_length;
 

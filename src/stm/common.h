@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/retry_policy.h"
+#include "core/scope_hooks.h"
 #include "sim/machine.h"
 #include "sim/types.h"
 #include "util/fn_ref.h"
@@ -197,17 +198,6 @@ class StmSystem {
   std::function<void(CtxId)> serialize_hook_;
 };
 
-// Hooks so the simulated heap can undo allocations made in aborted attempts.
-struct ScopeHooks {
-  std::function<void()> begin;
-  std::function<void()> commit;
-  std::function<void()> abort;
-
-  void on_begin() const { if (begin) begin(); }
-  void on_commit() const { if (commit) commit(); }
-  void on_abort() const { if (abort) abort(); }
-};
-
 // Retry loop with suicide contention management. The wait between attempts
 // is delegated to a core::RetryPolicy (randomized exponential backoff by
 // default, matching TinySTM); the attempt budget is unbounded because an
@@ -222,7 +212,7 @@ class StmExecutor {
     policy_.backoff_cap_shift = cfg.backoff_cap_shift;
   }
 
-  void set_scope_hooks(ScopeHooks hooks) { hooks_ = std::move(hooks); }
+  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
 
   // Optional observability sink (src/obs): attempt lifecycle and
   // contention-manager backoff decisions for software transactions, which
@@ -247,7 +237,7 @@ class StmExecutor {
   Machine& m_;
   StmSystem& stm_;
   core::RetryPolicy policy_;
-  ScopeHooks hooks_;
+  core::ScopeHooks hooks_;
   obs::TraceSink* sink_ = nullptr;
 };
 

@@ -140,15 +140,40 @@ obs::MetricsConfig hub_cfg(Cycles window) {
   return cfg;
 }
 
+// A hub fed the way the engines feed it: through a TraceSink, which pairs
+// each commit/abort with its begin before folding.
+struct FedHub {
+  obs::MetricsHub hub;
+  obs::TraceSink sink{64};
+
+  explicit FedHub(Cycles window) : hub(hub_cfg(window)) { sink.set_hub(&hub); }
+
+  void emit(obs::EventKind kind, CtxId ctx, Cycles t,
+            sim::AbortReason reason = sim::AbortReason::kNone) {
+    sink.emit({.kind = kind, .reason = reason, .ctx = ctx, .t = t});
+  }
+  void elide(uint32_t lock, Cycles t, obs::ElideAcqKind kind,
+             Cycles cycles_elided, Cycles cycles_wasted) {
+    const obs::ElideAcquisition a{lock, kind, false, 0, cycles_elided,
+                                  cycles_wasted};
+    sink.emit({.kind = obs::EventKind::kElideAcquire,
+               .t = t,
+               .payload = {.elide = &a}});
+  }
+};
+
+using obs::EventKind;
+
 TEST(MetricsHub, EventsLandInTheWindowContainingTheirTimestamp) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.hw_begin(0, 10);
-  hub.hw_commit(0, 99);   // attempt [10, 99]: window 0, 89 committed cycles
-  hub.hw_begin(0, 150);
-  hub.hw_commit(0, 260);  // closes in window 2: cycles attributed there
-  hub.hw_begin(1, 205);
-  hub.hw_abort(1, 230, sim::AbortReason::kConflict, 7, obs::kNoSite);
-  obs::MetricsData d = hub.finalize(300);
+  FedHub f(100);
+  f.emit(EventKind::kTxBegin, 0, 10);
+  f.emit(EventKind::kTxCommit, 0, 99);   // [10, 99]: window 0, 89 cycles
+  f.emit(EventKind::kTxBegin, 0, 150);
+  f.emit(EventKind::kTxCommit, 0, 260);  // closes in window 2: cycles there
+  f.sink.set_site(1, 7);
+  f.emit(EventKind::kTxBegin, 1, 205);
+  f.emit(EventKind::kTxAbort, 1, 230, sim::AbortReason::kConflict);
+  obs::MetricsData d = f.hub.finalize(300);
   ASSERT_EQ(d.windows.size(), 3u);
   EXPECT_EQ(d.windows[0].hw_starts, 1u);
   EXPECT_EQ(d.windows[0].hw_commits, 1u);
@@ -166,10 +191,10 @@ TEST(MetricsHub, EventsLandInTheWindowContainingTheirTimestamp) {
 }
 
 TEST(MetricsHub, FinalizePadsIdleTailToWall) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.hw_begin(0, 5);
-  hub.hw_commit(0, 50);
-  obs::MetricsData d = hub.finalize(1000);
+  FedHub f(100);
+  f.emit(EventKind::kTxBegin, 0, 5);
+  f.emit(EventKind::kTxCommit, 0, 50);
+  obs::MetricsData d = f.hub.finalize(1000);
   ASSERT_EQ(d.windows.size(), 10u);  // trailing idle windows materialized
   for (size_t i = 0; i < d.windows.size(); ++i) {
     EXPECT_EQ(d.windows[i].start, i * 100u);
@@ -178,25 +203,25 @@ TEST(MetricsHub, FinalizePadsIdleTailToWall) {
 }
 
 TEST(MetricsHub, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
-  obs::MetricsHub hub(hub_cfg(100));
+  FedHub f(100);
   std::vector<Cycles> starts;
-  hub.subscribe([&](const obs::MetricsWindow& w,
-                    const std::optional<obs::PhaseEvent>&) {
+  f.hub.subscribe([&](const obs::MetricsWindow& w,
+                      const std::optional<obs::PhaseEvent>&) {
     starts.push_back(w.start);
   });
   // Stream events marching forward through five windows. Sealing lags the
   // high-water mark by one full window (clock-skew slack): after an event
   // at t in window 4, windows [0, 3) are sealed.
   for (Cycles t = 10; t < 450; t += 20) {
-    hub.hw_begin(0, t);
-    hub.hw_commit(0, t + 5);
+    f.emit(EventKind::kTxBegin, 0, t);
+    f.emit(EventKind::kTxCommit, 0, t + 5);
   }
   ASSERT_EQ(starts.size(), 3u);
   EXPECT_EQ(starts[0], 0u);
   EXPECT_EQ(starts[1], 100u);
   EXPECT_EQ(starts[2], 200u);
   // finalize delivers the rest exactly once, still in order.
-  obs::MetricsData d = hub.finalize(450);
+  obs::MetricsData d = f.hub.finalize(450);
   ASSERT_EQ(starts.size(), d.windows.size());
   for (size_t i = 0; i < starts.size(); ++i) {
     EXPECT_EQ(starts[i], i * 100u);
@@ -204,17 +229,17 @@ TEST(MetricsHub, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
 }
 
 TEST(MetricsHub, LiveWindowsMatchFinalizedWindows) {
-  obs::MetricsHub hub(hub_cfg(100));
+  FedHub f(100);
   std::vector<uint64_t> live_commits;
-  hub.subscribe([&](const obs::MetricsWindow& w,
-                    const std::optional<obs::PhaseEvent>&) {
+  f.hub.subscribe([&](const obs::MetricsWindow& w,
+                      const std::optional<obs::PhaseEvent>&) {
     live_commits.push_back(w.hw_commits);
   });
   for (Cycles t = 0; t < 1000; t += 10) {
-    hub.hw_begin(0, t);
-    hub.hw_commit(0, t + 9);
+    f.emit(EventKind::kTxBegin, 0, t);
+    f.emit(EventKind::kTxCommit, 0, t + 9);
   }
-  obs::MetricsData d = hub.finalize(1000);
+  obs::MetricsData d = f.hub.finalize(1000);
   ASSERT_EQ(live_commits.size(), d.windows.size());
   for (size_t i = 0; i < d.windows.size(); ++i) {
     EXPECT_EQ(live_commits[i], d.windows[i].hw_commits) << "window " << i;
@@ -222,23 +247,25 @@ TEST(MetricsHub, LiveWindowsMatchFinalizedWindows) {
 }
 
 TEST(MetricsHub, FinalizeIsIdempotent) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.hw_begin(0, 10);
-  hub.hw_commit(0, 20);
-  obs::MetricsData a = hub.finalize(200);
-  obs::MetricsData b = hub.finalize(200);
+  FedHub f(100);
+  f.emit(EventKind::kTxBegin, 0, 10);
+  f.emit(EventKind::kTxCommit, 0, 20);
+  obs::MetricsData a = f.hub.finalize(200);
+  obs::MetricsData b = f.hub.finalize(200);
   ASSERT_EQ(a.windows.size(), b.windows.size());
   EXPECT_EQ(a.phases.size(), b.phases.size());
   EXPECT_EQ(a.windows[0].hw_commits, b.windows[0].hw_commits);
 }
 
 TEST(MetricsHub, ElideCountersAggregatePerLockPerWindow) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.elide_lock_name(3, "hot-mutex");
-  hub.elide_acquire(3, 50, obs::ElideAcqKind::kElided, 40, 0);
-  hub.elide_acquire(3, 60, obs::ElideAcqKind::kFallback, 0, 25);
-  hub.elide_acquire(3, 150, obs::ElideAcqKind::kElided, 30, 0);
-  obs::MetricsData d = hub.finalize(200);
+  FedHub f(100);
+  f.sink.set_lock_name(3, "hot-mutex");
+  f.elide(3, 50, obs::ElideAcqKind::kElided, 40, 0);
+  f.elide(3, 60, obs::ElideAcqKind::kFallback, 0, 25);
+  f.elide(3, 150, obs::ElideAcqKind::kElided, 30, 0);
+  obs::Capture c =
+      obs::make_capture(f.sink, "t", 3.3, 1, std::nullopt, f.hub.finalize(200));
+  const obs::MetricsData& d = *c.metrics;
   ASSERT_EQ(d.windows.size(), 2u);
   const obs::ElideWindowCounters& w0 = d.windows[0].elide.at(3);
   EXPECT_EQ(w0.acquisitions, 2u);

@@ -16,8 +16,11 @@
 #include <vector>
 
 #include "core/runtime.h"
+#include "eigenbench/eigenbench.h"
 #include "obs/abort_report.h"
 #include "obs/chrome_trace.h"
+#include "obs/metrics.h"
+#include "obs/pmu.h"
 #include "obs/registry.h"
 #include "obs/trace_sink.h"
 
@@ -31,7 +34,13 @@ using sim::Word;
 
 TEST(TraceSink, RingWraparoundKeepsNewestAndAggregatesStayExact) {
   obs::TraceSink sink(4);
-  for (Cycles t = 0; t < 10; ++t) sink.stm_begin(0, t, 7);
+  for (Cycles t = 0; t < 10; ++t) {
+    sink.emit({.kind = obs::EventKind::kTxBegin,
+               .flags = obs::kFlagStm,
+               .ctx = 0,
+               .site = 7,
+               .t = t});
+  }
   EXPECT_EQ(sink.size(), 4u);
   EXPECT_EQ(sink.dropped(), 6u);
   std::vector<obs::Event> ev = sink.events();
@@ -45,6 +54,150 @@ TEST(TraceSink, RingWraparoundKeepsNewestAndAggregatesStayExact) {
   // the (lossy) ring: all 10 attempts are still counted.
   ASSERT_EQ(sink.sites().count(7u), 1u);
   EXPECT_EQ(sink.sites().at(7u).attempts, 10u);
+}
+
+// One scripted stream through a sink with both consumers attached: the
+// sink's single open-attempt table pairs every attempt once, and the PMU,
+// the hub, the flame profile and SiteAgg all see the same pairing.
+TEST(TraceSink, OneOpenAttemptTableFeedsEveryFold) {
+  using obs::EventKind;
+  obs::TraceSink sink(64);
+  obs::Pmu pmu(2);
+  obs::MetricsConfig mcfg;
+  mcfg.window_cycles = 100;
+  obs::MetricsHub hub(mcfg);
+  sink.set_pmu(&pmu);
+  sink.set_hub(&hub);
+  auto hw = [&](EventKind k, CtxId c, Cycles t,
+                AbortReason r = AbortReason::kNone, CtxId attacker = ~0u) {
+    sink.emit({.kind = k, .reason = r, .ctx = c, .attacker = attacker, .t = t});
+  };
+
+  sink.set_site(0, 1);
+  hw(EventKind::kTxBegin, 0, 10);
+  hw(EventKind::kTxCommit, 0, 40);  // paired: 30 committed cycles
+  sink.emit({.kind = EventKind::kTxBegin,
+             .flags = obs::kFlagStm,
+             .ctx = 1,
+             .site = 2,
+             .t = 20});
+  sink.emit({.kind = EventKind::kTxAbort,  // attributed to ctx 0's site 1
+             .flags = obs::kFlagStm,
+             .reason = AbortReason::kConflict,
+             .ctx = 1,
+             .attacker = 0,
+             .t = 50,
+             .line = 0x40});
+  sink.emit(obs::retry_event(1, 55, /*fallback=*/true));
+  hw(EventKind::kTxBegin, 0, 60);
+  hw(EventKind::kTxAbort, 0, 90, AbortReason::kReadCapacity);  // no attacker
+  hw(EventKind::kTxCommit, 1, 120);  // no open begin
+  hw(EventKind::kTxBegin, 0, 130);
+  hw(EventKind::kTxBegin, 0, 140);  // attempt already open: dropped
+  hw(EventKind::kTxCommit, 0, 170);  // pairs with t=140: 30 cycles
+  hw(EventKind::kTxAbort, 1, 180, AbortReason::kConflict, 1);  // no begin
+  // A context past the PMU's thread count: the hub pairs it, the PMU not.
+  hw(EventKind::kTxBegin, 3, 210);
+  hw(EventKind::kTxCommit, 3, 230);
+  sink.emit({.kind = EventKind::kLockSection, .ctx = 0, .t = 250, .cycles = 40});
+  sink.set_lock_name(5, "m5");
+  sink.set_lock_name(6, "idle");
+  const obs::ElideAcquisition acq{5, obs::ElideAcqKind::kElided, false, 2,
+                                  12, 3};
+  sink.emit({.kind = EventKind::kElideAcquire,
+             .ctx = 0,
+             .t = 260,
+             .payload = {.elide = &acq}});
+
+  // Ring: every event except the two fold-only kinds.
+  EXPECT_EQ(sink.size(), 14u);
+  for (const obs::Event& e : sink.events()) {
+    EXPECT_TRUE(obs::is_ring_kind(e.kind));
+    EXPECT_EQ(e.payload.stats, nullptr);
+  }
+
+  // PMU: three mismatches (commit and abort without a begin, begin while
+  // open); ctx 3 is beyond its thread count and ignored.
+  obs::PmuData d = pmu.finalize(sim::MachineStats{}, 300, {300, 300},
+                                {300, 300}, 0.0, sim::EnergyParams{}, 3.3);
+  EXPECT_EQ(d.mismatched, 3u);
+  EXPECT_FALSE(d.identity_ok);
+  EXPECT_EQ(d.stm_starts, 1u);
+  EXPECT_EQ(d.stm_aborts, 1u);
+  EXPECT_EQ(d.fallbacks, 1u);
+  EXPECT_EQ(d.ctx[0].committed, 60u);
+  EXPECT_EQ(d.ctx[0].wasted, 30u);
+  EXPECT_EQ(d.ctx[1].committed, 0u);
+  EXPECT_EQ(d.ctx[1].wasted, 30u);
+  EXPECT_EQ(d.tx_duration.count(), 2u);
+  EXPECT_EQ(d.abort_latency.count(), 2u);
+  ASSERT_EQ(d.elide.size(), 1u);
+  EXPECT_EQ(d.elide[0].attempts, 2u);
+  EXPECT_EQ(d.elide[0].cycles_wasted, 3u);
+
+  // Hub windows.
+  obs::Capture c =
+      obs::make_capture(sink, "t", 3.3, 2, std::move(d), hub.finalize(300));
+  const obs::MetricsData& m = *c.metrics;
+  ASSERT_EQ(m.windows.size(), 3u);
+  const obs::MetricsWindow& w0 = m.windows[0];
+  EXPECT_EQ(w0.hw_starts, 2u);
+  EXPECT_EQ(w0.hw_commits, 1u);
+  EXPECT_EQ(w0.hw_aborts, 1u);
+  EXPECT_EQ(w0.stm_starts, 1u);
+  EXPECT_EQ(w0.stm_aborts, 1u);
+  EXPECT_EQ(w0.fallbacks, 1u);
+  EXPECT_EQ(w0.committed_cycles, 30u);
+  EXPECT_EQ(w0.wasted_cycles, 60u);
+  EXPECT_EQ(w0.aborts_by_reason[static_cast<size_t>(
+                AbortReason::kReadCapacity)],
+            1u);
+  EXPECT_EQ(w0.aborts_by_reason[static_cast<size_t>(AbortReason::kConflict)],
+            0u);  // STM aborts count as stm_aborts only
+  const obs::MetricsWindow& w1 = m.windows[1];
+  EXPECT_EQ(w1.hw_starts, 2u);
+  EXPECT_EQ(w1.hw_commits, 2u);
+  EXPECT_EQ(w1.hw_aborts, 1u);
+  EXPECT_EQ(w1.committed_cycles, 30u);  // the unpaired commit adds none
+  EXPECT_EQ(w1.wasted_cycles, 0u);
+  const obs::MetricsWindow& w2 = m.windows[2];
+  EXPECT_EQ(w2.hw_starts, 1u);
+  EXPECT_EQ(w2.committed_cycles, 20u);  // ctx 3
+  EXPECT_EQ(w2.lock_sections, 1u);
+  EXPECT_EQ(w2.lock_section_cycles, 40u);
+  EXPECT_EQ(w2.elide.at(5).elided, 1u);
+  EXPECT_EQ(w2.elide.at(5).cycles_elided, 12u);
+
+  // Flame: the attributed STM abort, the unattributed capacity abort, and a
+  // zero-cycle edge for the unpaired abort.
+  const obs::FlameProfile& f = m.flame;
+  EXPECT_EQ(f.at(2).at(obs::flame_attacker_key(1)), 30u);
+  EXPECT_EQ(f.at(1).at(obs::flame_reason_key(AbortReason::kReadCapacity)),
+            30u);
+  EXPECT_EQ(f.at(2).at(obs::flame_reason_key(AbortReason::kConflict)), 0u);
+
+  // SiteAgg.
+  const obs::SiteAgg& s1 = c.sites.at(1);
+  EXPECT_EQ(s1.attempts, 4u);
+  EXPECT_EQ(s1.commits, 2u);
+  EXPECT_EQ(s1.aborts(), 1u);
+  const obs::SiteAgg& s2 = c.sites.at(2);
+  EXPECT_EQ(s2.attempts, 1u);
+  EXPECT_EQ(s2.commits, 1u);
+  EXPECT_EQ(s2.fallbacks, 1u);
+  EXPECT_EQ(s2.aborts_by_reason[static_cast<size_t>(AbortReason::kConflict)],
+            2u);
+  EXPECT_EQ(s2.conflict_lines.at(0x40), 1u);
+  ASSERT_EQ(s2.attacker_sites.size(), 1u);  // self-attack not attributed
+  EXPECT_EQ(s2.attacker_sites.at(1), 1u);
+  EXPECT_EQ(c.sites.at(obs::kNoSite).attempts, 1u);  // ctx 3: no site
+
+  // Lock names come from the sink, once, into both results.
+  ASSERT_EQ(c.pmu->elide.size(), 2u);
+  EXPECT_EQ(c.pmu->elide[0].name, "m5");
+  EXPECT_EQ(c.pmu->elide[1].name, "idle");
+  EXPECT_EQ(c.pmu->elide[1].acquisitions, 0u);
+  EXPECT_EQ(m.lock_names.at(6), "idle");
 }
 
 TEST(TraceSink, RejectsZeroCapacity) {
@@ -115,6 +268,39 @@ TEST(AbortAttribution, ConflictNamesLineAndAttackerSite) {
   EXPECT_GT(conflicts, 0u);  // the workload must have conflicted
   EXPECT_GT(on_line, 0u);    // ... on the shared word's cache line
   EXPECT_GT(attacked, 0u);   // ... blamed on the opposite call site
+}
+
+// STM aborts are C++ exceptions, and the abort handler yields to other
+// fibers (lock release, backoff) before it reports the abort. Fibers share
+// one host thread's caught-exception stack, so another fiber leaving its
+// own handler can free this handler's exception object: the handler must
+// not read it after a yield. Under ASan this contended, traced TinySTM run
+// (fig07's hottest cell) turns any such read into a failure.
+TEST(AbortAttribution, StmAbortsUnderContentionNameValidAttackers) {
+  core::RunConfig cfg;
+  cfg.backend = core::Backend::kTinyStm;
+  cfg.threads = 4;
+  cfg.machine.seed = 7000;
+  cfg.seed = 7000;
+  cfg.obs.enabled = true;
+  eigenbench::EigenConfig eb;
+  eb.loops = 100;
+  eb.reads_mild = 0;
+  eb.writes_mild = 0;
+  eb.reads_hot = 90;
+  eb.writes_hot = 10;
+  eb.hot_bytes = 16 * 1024;
+  cfg.obs.label = "test:stm-contention";
+  eigenbench::run(cfg, eb);
+  std::vector<obs::Capture> caps = obs::Registry::global().drain();
+  ASSERT_EQ(caps.size(), 1u);
+  uint64_t aborts = 0;
+  for (const obs::Event& e : caps[0].events) {
+    if (e.kind != obs::EventKind::kTxAbort) continue;
+    ++aborts;
+    EXPECT_LT(e.attacker, cfg.threads);
+  }
+  EXPECT_GT(aborts, 0u);
 }
 
 TEST(ChromeTrace, ExportIsWellFormedAndDeterministic) {

@@ -171,6 +171,60 @@ INSTANTIATE_TEST_SUITE_P(
              core::backend_name(std::get<1>(info.param));
     });
 
+// The service totals are the per-lock sums on every field, including the
+// busy-wait, abort and cycle counters the scoreboard does not print.
+TEST(ServerService, ElideTotalsSumEveryPerLockField) {
+  TrafficConfig t = small_traffic(100);
+  t.keys = 64;  // few hot keys across 4 workers: busy waits and aborts
+  t.threads = 4;
+  core::TxRuntime rt(server_run_cfg(core::Backend::kRtm, t, t.seed));
+  std::unique_ptr<Service> svc = make_service(ServiceKind::kKv, rt, t);
+  std::vector<std::vector<Request>> sched;
+  for (uint32_t w = 0; w < t.threads; ++w) {
+    sched.push_back(make_schedule(t, w));
+  }
+  rt.run([&](core::TxCtx& ctx) {
+    if (ctx.id() == 0) svc->init(ctx);
+    ctx.barrier();
+    for (const Request& r : sched[ctx.id()]) svc->handle(ctx, ctx.id(), r);
+  });
+
+  elide::ElideStats sum;
+  std::vector<elide::ElideStats> locks = svc->elide_locks();
+  ASSERT_EQ(locks.size(), KvService::kShards);
+  for (const elide::ElideStats& s : locks) {
+    sum.acquisitions += s.acquisitions;
+    sum.attempts += s.attempts;
+    sum.elided += s.elided;
+    sum.busy_waits += s.busy_waits;
+    sum.aborts += s.aborts;
+    sum.fallbacks += s.fallbacks;
+    sum.lock_acquires += s.lock_acquires;
+    sum.self_stops += s.self_stops;
+    sum.cycles_elided += s.cycles_elided;
+    sum.cycles_wasted += s.cycles_wasted;
+    sum.stopped = sum.stopped || s.stopped;
+  }
+  elide::ElideStats tot = svc->elide_totals();
+  EXPECT_EQ(tot.acquisitions, sum.acquisitions);
+  EXPECT_EQ(tot.attempts, sum.attempts);
+  EXPECT_EQ(tot.elided, sum.elided);
+  EXPECT_EQ(tot.busy_waits, sum.busy_waits);
+  EXPECT_EQ(tot.aborts, sum.aborts);
+  EXPECT_EQ(tot.fallbacks, sum.fallbacks);
+  EXPECT_EQ(tot.lock_acquires, sum.lock_acquires);
+  EXPECT_EQ(tot.self_stops, sum.self_stops);
+  EXPECT_EQ(tot.cycles_elided, sum.cycles_elided);
+  EXPECT_EQ(tot.cycles_wasted, sum.cycles_wasted);
+  EXPECT_EQ(tot.stopped, sum.stopped);
+  // The run exercised the fields the totals used to drop.
+  EXPECT_EQ(tot.acquisitions, 4 * 300u);
+  EXPECT_GT(tot.busy_waits, 0u);
+  EXPECT_GT(tot.aborts, 0u);
+  EXPECT_GT(tot.cycles_elided, 0u);
+  EXPECT_GT(tot.cycles_wasted, 0u);
+}
+
 TEST(ServerService, SameSeedSameScoreboardCell) {
   TrafficConfig t = small_traffic();
   CellResult a = run_server_rep(ServiceKind::kOrderBook, core::Backend::kRtm,
