@@ -19,8 +19,11 @@ using tsx::check::OracleConfig;
 using tsx::check::WorkloadResult;
 using tsx::core::Backend;
 
+// The workload name is a std::string, not a const char*: gtest prints a
+// pointer parameter by address, and ctest registers that printout as part of
+// the test name, so a pointer would give the tests a new name on every build.
 class ContainerOracle
-    : public ::testing::TestWithParam<std::tuple<const char*, Backend>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, Backend>> {};
 
 TEST_P(ContainerOracle, MatchesSequentialReference) {
   const auto& [workload, backend] = GetParam();
@@ -49,12 +52,14 @@ TEST_P(ContainerOracle, MatchesReferenceAtFourThreadsWithJitter) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ContainerOracle,
-    ::testing::Combine(::testing::Values("rbtree", "hashtable", "queue"),
+    ::testing::Combine(::testing::Values(std::string("rbtree"),
+                                         std::string("hashtable"),
+                                         std::string("queue")),
                        ::testing::Values(Backend::kRtm, Backend::kHle,
                                          Backend::kTinyStm, Backend::kTl2,
                                          Backend::kLock, Backend::kCas)),
     [](const auto& inf) {
-      return std::string(std::get<0>(inf.param)) + "_" +
+      return std::get<0>(inf.param) + "_" +
              tsx::core::backend_name(std::get<1>(inf.param));
     });
 
