@@ -28,7 +28,6 @@
 #include "util/flags.h"
 #include "util/summary.h"
 #include "util/table.h"
-#include "util/warn_once.h"
 
 namespace tsx::bench {
 
@@ -55,11 +54,13 @@ inline ObsSettings& obs_settings() {
 
 // Fills cfg.obs for a traced run registered under `label`. No-op when
 // tracing is off or the label is empty (SEQ baselines stay untraced, so the
-// exporters only see the measured runs).
+// exporters only see the measured runs). Only --trace reads the event ring,
+// so every other export runs with no ring at all.
 inline void apply_obs(core::RunConfig& cfg, const std::string& label) {
   const ObsSettings& s = obs_settings();
   if (!s.enabled() || label.empty()) return;
   cfg.obs.enabled = true;
+  if (!s.trace) cfg.obs.capacity = 0;
   cfg.obs.sample_interval = s.sample_interval;
   cfg.obs.metrics.window_cycles = s.metrics_window;
   cfg.obs.label = label;
@@ -243,7 +244,7 @@ class ObsFlusher {
 // (simulated-time window for the metrics hub; defaults to 10000 when
 // --metrics/--flamegraph is given),
 // --sample-interval=CYCLES (counter-sampling window for the time series and
-// the trace's counter tracks; --energy-window is a deprecated alias),
+// the trace's counter tracks),
 // --energy-split (extra committed/wasted energy columns in the energy
 // drivers' CSV output; default output stays byte-identical),
 // --progress[=BOOL] (force sweep progress lines on/off; default: only when
@@ -305,20 +306,6 @@ struct BenchArgs {
       a.metrics_window = static_cast<core::Cycles>(mw);
       int64_t si = flags.get_int("sample-interval", 0);
       if (si < 0) throw std::invalid_argument("--sample-interval must be >= 0");
-      if (flags.has("energy-window")) {
-        // Deprecated alias from before the sampler unification; honored only
-        // when --sample-interval is absent.
-        int64_t ew = flags.get_int("energy-window", 0);
-        if (ew < 0) throw std::invalid_argument("--energy-window must be >= 0");
-        // Once per run, never once per sweep cell: deprecation (and any
-        // other repeatable stderr warning) goes through util::warn_once so
-        // serial and --jobs N stderr stay identical.
-        util::warn_once("flags:energy-window-deprecated",
-                        std::string(argv[0]) +
-                            ": --energy-window is deprecated; use "
-                            "--sample-interval=CYCLES");
-        if (si == 0) si = ew;
-      }
       a.sample_interval = static_cast<core::Cycles>(si);
       a.energy_split = flags.get_bool("energy-split", false);
       a.progress = flags.has("progress")
@@ -372,6 +359,60 @@ struct BenchArgs {
   }
 };
 
+// The obs registry's fingerprints and totals as manifest member lines. Every
+// value is label- or name-sorted in the registry and read non-destructively,
+// so the members are --jobs-invariant and the flusher can still drain the
+// captures afterwards. Absent values omit their member.
+inline std::string obs_manifest_members() {
+  const obs::Registry& reg = obs::Registry::global();
+  std::ostringstream os;
+  auto hex_member = [&os](const char* key, uint64_t v) {
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    os << "  \"" << key << "\": \"" << hex << "\",\n";
+  };
+  // PMU-counter fingerprint.
+  hex_member("counter_digest", reg.counter_digest());
+  // Windowed-metrics fingerprint (hub windows + phase events + flame
+  // edges); absent when no capture carries metrics (hub off).
+  if (std::optional<uint64_t> d = reg.metrics_digest()) {
+    hex_member("metrics_digest", *d);
+  }
+  // Per-lock elision counters, aggregated by lock name across the sweep's
+  // captures; absent for benches without elide locks.
+  std::vector<obs::ElideLockCounters> locks = reg.elide_totals();
+  if (!locks.empty()) {
+    os << "  \"elide_locks\": [";
+    for (size_t i = 0; i < locks.size(); ++i) {
+      const obs::ElideLockCounters& e = locks[i];
+      os << (i ? ", " : "") << "{\"name\": \"" << e.name
+         << "\", \"acquisitions\": " << e.acquisitions
+         << ", \"attempts\": " << e.attempts << ", \"elided\": " << e.elided
+         << ", \"fallbacks\": " << e.fallbacks
+         << ", \"lock_acquires\": " << e.lock_acquires
+         << ", \"self_stops\": " << e.self_stops << "}";
+    }
+    os << "],\n";
+  }
+  // Summed simulated-heap counters.
+  obs::HeapPmuCounters h = reg.heap_totals();
+  if (h.present) {
+    os << "  \"heap\": {\"policy\": \"" << h.policy
+       << "\", \"allocs\": " << h.allocs << ", \"frees\": " << h.frees
+       << ", \"refills\": " << h.refills
+       << ", \"bytes_live\": " << h.bytes_live
+       << ", \"bytes_peak\": " << h.bytes_peak
+       << ", \"bytes_padding\": " << h.bytes_padding
+       << ", \"set_allocs\": [";
+    for (size_t i = 0; i < h.set_allocs.size(); ++i) {
+      os << (i ? ", " : "") << h.set_allocs[i];
+    }
+    os << "]},\n";
+  }
+  return os.str();
+}
+
 // Builds the Runner options for a driver's sweep: thread count and manifest
 // destination from the flags, bench id and config digest from the driver.
 inline harness::RunnerOptions runner_options(const BenchArgs& args,
@@ -383,69 +424,7 @@ inline harness::RunnerOptions runner_options(const BenchArgs& args,
   opt.config_digest = config_digest;
   opt.manifest = args.manifest;
   opt.assume_tty = args.progress;
-  if (obs_settings().enabled()) {
-    // PMU-counter fingerprint for the manifest; the registry hash is
-    // label-sorted and non-destructive, so it is --jobs-invariant and the
-    // flusher can still drain the captures afterwards.
-    opt.counter_digest_fn = [] {
-      char hex[19];
-      std::snprintf(hex, sizeof(hex), "0x%016llx",
-                    static_cast<unsigned long long>(
-                        obs::Registry::global().counter_digest()));
-      return std::string(hex);
-    };
-    // Windowed-metrics fingerprint (hub windows + phase events + flame
-    // edges). Absent when no capture carries metrics (hub off); label-sorted
-    // in the registry, so --jobs-invariant like counter_digest.
-    opt.metrics_digest_fn = [] {
-      std::optional<uint64_t> d = obs::Registry::global().metrics_digest();
-      if (!d) return std::string();
-      char hex[19];
-      std::snprintf(hex, sizeof(hex), "0x%016llx",
-                    static_cast<unsigned long long>(*d));
-      return std::string(hex);
-    };
-    // Per-lock elision counters, aggregated by lock name across the sweep's
-    // captures (name-sorted and non-destructive, hence --jobs-invariant).
-    // Empty — and the manifest field absent — for benches without elide
-    // locks.
-    opt.elide_locks_fn = [] {
-      std::vector<obs::ElideLockCounters> locks =
-          obs::Registry::global().elide_totals();
-      if (locks.empty()) return std::string();
-      std::ostringstream os;
-      os << "[";
-      for (size_t i = 0; i < locks.size(); ++i) {
-        const obs::ElideLockCounters& e = locks[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << e.name
-           << "\", \"acquisitions\": " << e.acquisitions
-           << ", \"attempts\": " << e.attempts << ", \"elided\": " << e.elided
-           << ", \"fallbacks\": " << e.fallbacks
-           << ", \"lock_acquires\": " << e.lock_acquires
-           << ", \"self_stops\": " << e.self_stops << "}";
-      }
-      os << "]";
-      return os.str();
-    };
-    // Summed simulated-heap counters for the manifest's "heap" object
-    // (label-sorted aggregation in the registry, hence --jobs-invariant).
-    opt.heap_fn = [] {
-      obs::HeapPmuCounters h = obs::Registry::global().heap_totals();
-      if (!h.present) return std::string();
-      std::ostringstream os;
-      os << "{\"policy\": \"" << h.policy << "\", \"allocs\": " << h.allocs
-         << ", \"frees\": " << h.frees << ", \"refills\": " << h.refills
-         << ", \"bytes_live\": " << h.bytes_live
-         << ", \"bytes_peak\": " << h.bytes_peak
-         << ", \"bytes_padding\": " << h.bytes_padding
-         << ", \"set_allocs\": [";
-      for (size_t i = 0; i < h.set_allocs.size(); ++i) {
-        os << (i ? ", " : "") << h.set_allocs[i];
-      }
-      os << "]}";
-      return os.str();
-    };
-  }
+  if (obs_settings().enabled()) opt.manifest_members_fn = obs_manifest_members;
   return opt;
 }
 

@@ -179,27 +179,6 @@ inline StampRep stamp_rep(const StampApp& app, core::Backend backend,
   return r;
 }
 
-// Runs one (app, backend, threads) cell, normalized to a SEQ 1-thread run
-// with the same seed, averaged over reps (serial; the figure drivers sweep
-// whole grids through stamp_cells instead).
-inline StampCell stamp_cell(const StampApp& app, core::Backend backend,
-                            uint32_t threads, const BenchArgs& args,
-                            uint64_t seed0 = 9000) {
-  std::vector<double> nt, ne, ws;
-  StampCell cell;
-  for (int rep = 0; rep < args.reps; ++rep) {
-    StampRep r = stamp_rep(app, backend, threads, args.fast, seed0 + rep);
-    nt.push_back(r.norm_time);
-    ne.push_back(r.norm_energy);
-    ws.push_back(r.wasted_share);
-    cell.result = r.result;
-  }
-  cell.norm_time = util::mean(nt);
-  cell.norm_energy = util::mean(ne);
-  cell.wasted_share = util::mean(ws);
-  return cell;
-}
-
 // One cell of a STAMP figure's sweep grid.
 struct StampTask {
   StampApp app;

@@ -6,22 +6,10 @@ namespace tsx::check {
 
 Recorder::Recorder(core::TxRuntime& rt) : rt_(rt) {
   open_.resize(rt_.config().threads);
-  sim::TraceHooks hooks;
-  hooks.on_access = [this](CtxId c, Addr a, Word old_v, Word v, bool w,
-                           bool in_tx) {
-    machine_access(c, a, old_v, v, w, in_tx);
-  };
-  hooks.on_tx_begin = [this](CtxId c) { machine_tx_begin(c); };
-  hooks.on_tx_commit = [this](CtxId c) { seal(c); };
-  hooks.on_tx_abort = [this](CtxId c) { machine_tx_abort(c); };
-  rt_.machine().set_trace_hooks(std::move(hooks));
   rt_.set_observer(this);
 }
 
-Recorder::~Recorder() {
-  rt_.set_observer(nullptr);
-  rt_.machine().set_trace_hooks({});
-}
+Recorder::~Recorder() { rt_.set_observer(nullptr); }
 
 bool Recorder::in_heap(Addr a) {
   return a >= mem::kHeapBase && a < mem::kHeapBase + mem::kHeapBytes;
@@ -34,8 +22,8 @@ void Recorder::latch_initial(Addr a, Word v) {
   h_.initial.emplace(a, v);
 }
 
-void Recorder::machine_access(CtxId ctx, Addr a, Word old_v, Word v,
-                              bool is_write, bool /*in_tx*/) {
+void Recorder::on_access(CtxId ctx, Addr a, Word old_v, Word v,
+                         bool is_write) {
   if (!in_heap(a)) return;
   // Machine traffic inside a live software transaction is metadata/
   // speculation (logging, validation, commit write-back); the logical
@@ -55,7 +43,7 @@ void Recorder::machine_access(CtxId ctx, Addr a, Word old_v, Word v,
   h_.units.push_back(std::move(s));
 }
 
-void Recorder::machine_tx_begin(CtxId ctx) {
+void Recorder::on_hw_begin(CtxId ctx) {
   OpenUnit& u = open_[ctx];
   if (u.active) return;  // runtime-opened unit (RTM attempt, HLE elision)
   u.active = true;
@@ -65,14 +53,14 @@ void Recorder::machine_tx_begin(CtxId ctx) {
   u.buf.clear();
 }
 
-void Recorder::machine_tx_abort(CtxId ctx) {
+void Recorder::on_hw_abort(CtxId ctx) {
   OpenUnit& u = open_[ctx];
   if (!u.active) return;
   u.buf.clear();  // speculative effects were rolled back
   if (u.implicit) u.active = false;  // a retry re-opens via tx_begin
 }
 
-void Recorder::seal(CtxId ctx) {
+void Recorder::on_unit_commit(CtxId ctx) {
   OpenUnit& u = open_[ctx];
   if (!u.active) return;  // idempotent: later backstop calls are no-ops
   Unit done;
@@ -98,8 +86,6 @@ void Recorder::on_unit_begin(CtxId ctx, uint32_t site) {
   u.stm = rt_.executor().stm_active(ctx);
   u.buf.clear();  // a fresh begin discards any stale speculative buffer
 }
-
-void Recorder::on_unit_commit(CtxId ctx) { seal(ctx); }
 
 void Recorder::on_unit_abort(CtxId ctx) {
   OpenUnit& u = open_[ctx];

@@ -3,26 +3,29 @@
 //
 // A Recorder attaches to a TxRuntime and captures, for every atomic unit
 // that commits, the ordered list of heap-word reads and writes the unit
-// performed, in the global order in which units *serialized*. Two event
-// streams feed it:
+// performed, in the global order in which units *serialized*. Its one input
+// is core::TxObserver, which carries two event streams:
 //
-//   * sim::TraceHooks — physical machine accesses. These carry plain
-//     (non-transactional) accesses, HTM speculative accesses (the simulator
-//     is undo-log based, so speculative values are the values that commit),
-//     and lock-protected accesses. Machine events that occur while the
-//     context has an *STM* transaction active are suppressed: they are STM
-//     metadata traffic (clock, lock table, logs) and commit-time
-//     write-back, not workload semantics.
-//   * core::TxObserver — atomic-block boundaries for every backend plus
-//     the logical read/write stream of STM transactions.
+//   * physical machine accesses (on_access, forwarded by the runtime from
+//     the machine's TraceHooks). These carry plain (non-transactional)
+//     accesses, HTM speculative accesses (the simulator is undo-log based,
+//     so speculative values are the values that commit), and
+//     lock-protected accesses. Machine events that occur while the context
+//     has an *STM* transaction active are suppressed: they are STM metadata
+//     traffic (clock, lock table, logs) and commit-time write-back, not
+//     workload semantics.
+//   * atomic-block boundaries for every backend, the hardware-transaction
+//     lifecycle (on_hw_begin/on_hw_abort), and the logical read/write
+//     stream of STM transactions.
 //
-// Seal points (the moment a unit's position in the global order is fixed):
-//   HTM (RTM speculation, HLE elision): the machine's on_tx_commit hook,
+// Seal points (the moment a unit's position in the global order is fixed),
+// all reported as on_unit_commit:
+//   HTM (RTM speculation, HLE elision): the machine's outermost tx_commit,
 //     which fires after effects are final and before any other context can
 //     run.
-//   STM (TinySTM, TL2): StmSystem's serialize hook, fired inside tx_commit
-//     at the algorithm's serialization point (validation success, write
-//     stripes locked, before write-back).
+//   STM (TinySTM, TL2): StmSystem::tx_commit at the algorithm's
+//     serialization point (validation success, write stripes locked,
+//     before write-back).
 //   Lock / CAS / HLE-fallback / RTM-fallback / SEQ: on_unit_commit from
 //     host code, which the runtime calls after the body but before the
 //     protecting lock is released.
@@ -74,8 +77,8 @@ struct History {
 
 class Recorder final : public core::TxObserver {
  public:
-  // Installs machine trace hooks and the runtime observer. Attach before
-  // TxRuntime::run and keep alive until after it returns.
+  // Attaches as the runtime's observer (the recorder's only input). Attach
+  // before TxRuntime::run and keep alive until after it returns.
   explicit Recorder(core::TxRuntime& rt);
   ~Recorder() override;
 
@@ -91,13 +94,12 @@ class Recorder final : public core::TxObserver {
   void on_stm_read(CtxId ctx, Addr addr, Word value) override;
   void on_stm_write(CtxId ctx, Addr addr, Word value,
                     Word pre_commit_value) override;
+  void on_access(CtxId ctx, Addr addr, Word old_value, Word value,
+                 bool is_write) override;
+  void on_hw_begin(CtxId ctx) override;
+  void on_hw_abort(CtxId ctx) override;
 
  private:
-  void machine_access(CtxId ctx, Addr addr, Word old_value, Word value,
-                      bool is_write, bool in_tx);
-  void machine_tx_begin(CtxId ctx);
-  void machine_tx_abort(CtxId ctx);
-  void seal(CtxId ctx);
   void latch_initial(Addr addr, Word value);
   static bool in_heap(Addr a);
 

@@ -70,10 +70,4 @@ inline bool backend_from_name(const std::string& s, Backend* out) {
   return false;
 }
 
-// Backends whose atomic blocks run as pure software transactions. (kHybrid
-// is excluded: its fast path is hardware, only the fallback is STM.)
-inline bool backend_is_stm(Backend b) {
-  return b == Backend::kTinyStm || b == Backend::kTl2;
-}
-
 }  // namespace tsx::core

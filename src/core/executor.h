@@ -37,11 +37,13 @@ namespace tsx::core {
 struct RunConfig;  // core/runtime.h
 
 // What the runtime lends its executor. `observer` points at the runtime's
-// observer slot (not the observer itself): executors read it at call time,
-// so TxRuntime::set_observer needs no re-wiring. `sink` is the optional
-// structured-event trace sink (null when tracing is off); executors only
-// emit policy-level events to it (site labels, retry/fallback decisions) —
-// hardware tx lifecycle events flow through the machine's ObsHooks.
+// observer slot (not the observer itself): executors and their STM read it
+// at call time, so TxRuntime::set_observer needs no re-wiring. `sink` is
+// the optional structured-event trace sink (null when tracing is off);
+// executors only emit policy-level and software-attempt events to it (site
+// labels, retry/fallback decisions) — hardware tx lifecycle events reach
+// both the sink and the observer through the machine's TraceHooks, which
+// only TxRuntime installs.
 struct ExecutorEnv {
   sim::Machine* machine = nullptr;
   mem::SimHeap* heap = nullptr;

@@ -33,20 +33,19 @@ using sim::Cycles;
 using sim::Word;
 
 // Heap transaction scoping + recorder unit bracketing around every
-// speculative attempt / fallback execution. When `observe_commit` is false
-// the commit hook only closes the heap scope: STM executors seal their units
-// through the serialize hook at the true serialization point instead.
-ScopeHooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
+// speculative attempt / fallback execution. Hardware and STM attempts seal
+// their units earlier, at the true serialization point (the machine's
+// tx_commit, StmSystem::tx_commit); the commit call here is then a no-op.
+ScopeHooks make_scope_hooks(const ExecutorEnv& env) {
   return ScopeHooks{
       [env] {
         CtxId c = env.machine->current_ctx();
         env.heap->tx_scope_begin(c);
         if (TxObserver* o = *env.observer) o->on_unit_begin(c, 0);
       },
-      [env, observe_commit] {
+      [env] {
         CtxId c = env.machine->current_ctx();
         env.heap->tx_scope_commit(c);
-        if (!observe_commit) return;
         if (TxObserver* o = *env.observer) o->on_unit_commit(c);
       },
       [env] {
@@ -155,13 +154,13 @@ class HleExecutor final : public TxExecutor {
       : TxExecutor(env),
         lock_(*env.machine, mem::kRuntimeRegionBase + 2 * sim::kLineBytes,
               elision_attempts),
-        elide_hooks_(make_scope_hooks(env, true)) {
+        hooks_(make_scope_hooks(env)) {
     lock_.init();
     // Heap scoping and observer bracketing fire per elision attempt;
-    // lock-path sections seal before the unlock, elided sections seal
-    // through the machine's tx-commit trace hook (the later scope-commit
-    // call is an idempotent backstop).
-    lock_.set_scope_hooks(make_scope_hooks(env, true));
+    // lock-path sections seal before the unlock, elided sections seal at
+    // the machine's tx_commit (the later scope-commit call is an idempotent
+    // backstop).
+    lock_.set_scope_hooks(hooks_);
     lock_.set_sink(env.sink);
   }
 
@@ -174,7 +173,7 @@ class HleExecutor final : public TxExecutor {
 
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
-    return hw_elide(*env_.machine, env_.sink, elide_hooks_, body, lock_word,
+    return hw_elide(*env_.machine, env_.sink, hooks_, body, lock_word,
                     site);
   }
 
@@ -191,7 +190,7 @@ class HleExecutor final : public TxExecutor {
 
  private:
   htm::HleLock lock_;
-  ScopeHooks elide_hooks_;
+  ScopeHooks hooks_;
 };
 
 // ---- kRtm ----
@@ -201,9 +200,9 @@ class RtmSerialExecutor final : public TxExecutor {
   RtmSerialExecutor(const ExecutorEnv& env, const RetryPolicy& policy)
       : TxExecutor(env),
         rtm_(*env.machine, mem::kRuntimeRegionBase + sim::kLineBytes, policy),
-        elide_hooks_(make_scope_hooks(env, true)) {
+        hooks_(make_scope_hooks(env)) {
     rtm_.init();
-    rtm_.set_scope_hooks(make_scope_hooks(env, true));
+    rtm_.set_scope_hooks(hooks_);
     rtm_.set_sink(env.sink);
   }
 
@@ -219,7 +218,7 @@ class RtmSerialExecutor final : public TxExecutor {
   // per-lock elision statistics live in the elide layer and the PMU.
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
-    return hw_elide(*env_.machine, env_.sink, elide_hooks_, body, lock_word,
+    return hw_elide(*env_.machine, env_.sink, hooks_, body, lock_word,
                     site);
   }
 
@@ -242,7 +241,7 @@ class RtmSerialExecutor final : public TxExecutor {
 
  private:
   htm::RtmExecutor rtm_;
-  ScopeHooks elide_hooks_;
+  ScopeHooks hooks_;
 };
 
 // ---- STM-backed executors (kTinyStm, kTl2, and kHybrid's fallback) ----
@@ -261,10 +260,8 @@ class StmBackedExecutor : public TxExecutor {
         stm_(std::move(sys)),
         stm_exec_(*env.machine, *stm_, cfg) {
     stm_->init();
-    stm_->set_serialize_hook([this](CtxId c) {
-      if (TxObserver* o = obs()) o->on_unit_commit(c);
-    });
-    stm_exec_.set_scope_hooks(make_scope_hooks(env, false));
+    stm_->set_observer(env.observer);
+    stm_exec_.set_scope_hooks(make_scope_hooks(env));
     stm_exec_.set_sink(env.sink);
   }
 
@@ -408,7 +405,7 @@ class HybridExecutor final : public StmBackedExecutor {
         policy_(policy),
         tiny_(static_cast<stm::TinyStm*>(stm_.get())),
         clock_line_(sim::line_of(tiny_->clock_addr())),
-        hw_hooks_(make_scope_hooks(env, true)) {}
+        hw_hooks_(make_scope_hooks(env)) {}
 
   const char* name() const override { return "Hybrid"; }
 

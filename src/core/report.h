@@ -87,15 +87,4 @@ struct RunReport {
   }
 };
 
-inline double speedup(const RunReport& baseline, const RunReport& run) {
-  return static_cast<double>(baseline.wall_cycles) /
-         static_cast<double>(run.wall_cycles);
-}
-
-// "Energy efficiency" in the paper's figures: baseline energy / run energy
-// (> 1 means the run spends less energy than the sequential baseline).
-inline double energy_efficiency(const RunReport& baseline, const RunReport& run) {
-  return baseline.joules() / run.joules();
-}
-
 }  // namespace tsx::core

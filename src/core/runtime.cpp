@@ -94,24 +94,63 @@ TxRuntime::TxRuntime(RunConfig cfg) : cfg_(std::move(cfg)) {
       hub_ = std::make_unique<obs::MetricsHub>(cfg_.obs.metrics);
       sink_->set_hub(hub_.get());
     }
-    obs::TraceSink* s = sink_.get();
-    using obs::EventKind;
-    sim::ObsHooks hooks;
-    hooks.on_tx_begin = [s](CtxId c, Cycles t) {
-      s->emit({.kind = EventKind::kTxBegin, .ctx = c, .t = t});
+  }
+  install_machine_hooks();
+
+  // Runtime region: the backends' synchronization objects, one line each
+  // (assigned in executors.cpp). All initialization is host-side pokes.
+  machine_->prefault(mem::kRuntimeRegionBase, sim::kPageBytes);
+  exec_ = make_executor(cfg_, ExecutorEnv{machine_.get(), heap_.get(),
+                                          &observer_, sink_.get()});
+
+  for (CtxId i = 0; i < cfg_.threads; ++i) {
+    // Distinct, deterministic per-thread workload seeds.
+    ctxs_.emplace_back(new TxCtx(*this, i, cfg_.seed * 1000003ull + i));
+  }
+}
+
+void TxRuntime::set_observer(TxObserver* obs) {
+  observer_ = obs;
+  install_machine_hooks();
+}
+
+// The machine's one hook slot, built from the sink and the observer. The
+// sample window is passed unchanged on every reinstall, so the machine
+// keeps its sampling position.
+void TxRuntime::install_machine_hooks() {
+  using obs::EventKind;
+  obs::TraceSink* s = sink_.get();
+  TxObserver* o = observer_;
+  sim::TraceHooks hooks;
+  if (o) {
+    // Set only while an observer is attached: an on_access hook takes every
+    // data op off the machine's fast path.
+    hooks.on_access = [o](CtxId c, Addr a, Word old_v, Word v, bool w,
+                          bool /*in_tx*/) { o->on_access(c, a, old_v, v, w); };
+  }
+  if (s || o) {
+    hooks.on_tx_begin = [s, o](CtxId c, Cycles t) {
+      if (o) o->on_hw_begin(c);
+      if (s) s->emit({.kind = EventKind::kTxBegin, .ctx = c, .t = t});
     };
-    hooks.on_tx_commit = [s](CtxId c, Cycles t) {
-      s->emit({.kind = EventKind::kTxCommit, .ctx = c, .t = t});
+    hooks.on_tx_commit = [s, o](CtxId c, Cycles t) {
+      if (o) o->on_unit_commit(c);
+      if (s) s->emit({.kind = EventKind::kTxCommit, .ctx = c, .t = t});
     };
-    hooks.on_tx_abort = [s](CtxId c, Cycles t, sim::AbortReason r,
-                            uint64_t line, CtxId attacker) {
-      s->emit({.kind = EventKind::kTxAbort,
-               .reason = r,
-               .ctx = c,
-               .attacker = attacker,
-               .t = t,
-               .line = line});
+    hooks.on_tx_abort = [s, o](CtxId c, Cycles t, sim::AbortReason r,
+                               uint64_t line, CtxId attacker) {
+      if (o) o->on_hw_abort(c);
+      if (s) {
+        s->emit({.kind = EventKind::kTxAbort,
+                 .reason = r,
+                 .ctx = c,
+                 .attacker = attacker,
+                 .t = t,
+                 .line = line});
+      }
     };
+  }
+  if (s) {
     hooks.on_tx_evict = [s](CtxId c, Cycles t, int level, uint64_t line) {
       s->emit({.kind = EventKind::kEvict,
                .level = static_cast<uint8_t>(level),
@@ -125,19 +164,8 @@ TxRuntime::TxRuntime(RunConfig cfg) : cfg_(std::move(cfg)) {
             {.kind = EventKind::kEnergy, .t = t, .payload = {.stats = &st}});
       };
     }
-    machine_->set_obs_hooks(std::move(hooks), cfg_.obs.sample_interval);
   }
-
-  // Runtime region: the backends' synchronization objects, one line each
-  // (assigned in executors.cpp). All initialization is host-side pokes.
-  machine_->prefault(mem::kRuntimeRegionBase, sim::kPageBytes);
-  exec_ = make_executor(cfg_, ExecutorEnv{machine_.get(), heap_.get(),
-                                          &observer_, sink_.get()});
-
-  for (CtxId i = 0; i < cfg_.threads; ++i) {
-    // Distinct, deterministic per-thread workload seeds.
-    ctxs_.emplace_back(new TxCtx(*this, i, cfg_.seed * 1000003ull + i));
-  }
+  machine_->set_trace_hooks(std::move(hooks), cfg_.obs.sample_interval);
 }
 
 TxRuntime::~TxRuntime() {

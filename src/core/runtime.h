@@ -56,10 +56,12 @@ using sim::Word;
 // at destruction so exporters can drain it after the run.
 struct ObsConfig {
   bool enabled = false;
-  size_t capacity = size_t{1} << 16;  // ring capacity in events
+  // Ring capacity in events; 0 keeps no ring (only the Chrome trace export
+  // reads it — counters, sites and metrics are folded without it).
+  size_t capacity = size_t{1} << 16;
   // Counter-sampling interval in simulated cycles; 0 = no samples. Drives
   // both the kEnergy trace events and the PMU time series (one sampling
-  // path). Formerly named `energy_window`.
+  // path).
   Cycles sample_interval = 0;
   std::string label;  // registry key; sorted at drain time
   // Windowed live-metrics plane (obs::MetricsHub): metrics.window_cycles > 0
@@ -180,8 +182,6 @@ class TxRuntime {
   mem::SimHeap& heap() { return *heap_; }
   // Null unless cfg.obs.enabled.
   obs::TraceSink* trace_sink() { return sink_.get(); }
-  // The simulated PMU (null unless cfg.obs.enabled). Fed by the sink.
-  obs::Pmu* pmu() { return pmu_.get(); }
   // Finalized PMU data — counters, cycle attribution, energy split,
   // histograms, samples. Empty unless cfg.obs.enabled; valid after run().
   // Elide-lock rows are unnamed here; obs::make_capture names them.
@@ -209,13 +209,17 @@ class TxRuntime {
   Addr alloc_elide_lines(uint32_t nlines);
 
   // Installs (or clears, with nullptr) the atomic-block observer used by
-  // src/check's history recorder. Call before run(). Executors read the
-  // observer slot at call time (including from their STM serialize hooks);
-  // machine-level TraceHooks are the recorder's own responsibility.
-  void set_observer(TxObserver* obs) { observer_ = obs; }
+  // src/check's history recorder. Call before run(). Executors and the STM
+  // read the observer slot at call time; the machine's hooks are rebuilt
+  // here, so the observer also receives the machine-level events.
+  void set_observer(TxObserver* obs);
 
  private:
   friend class TxCtx;
+
+  // Builds the machine's one hook slot from the sink and the observer. The
+  // only code that installs machine hooks.
+  void install_machine_hooks();
 
   void execute_atomic(TxCtx& ctx, util::FnRef<void()> body, uint32_t site);
 

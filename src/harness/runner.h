@@ -88,25 +88,12 @@ struct RunnerOptions {
   // variable ("0" off, anything else on) overrides this; quiet overrides
   // everything. Keeps redirected logs free of throttled status lines.
   int assume_tty = -1;
-  // Optional observability-counter fingerprint, recorded in the manifest as
-  // "counter_digest". Called once, after every job has completed (so drivers
-  // can hash the obs registry's PMU counters); an empty result omits the
-  // field. Must be deterministic w.r.t. --jobs — CI diffs it.
-  std::function<std::string()> counter_digest_fn;
-  // Optional windowed-metrics fingerprint (obs::Registry::metrics_digest),
-  // recorded in the manifest as "metrics_digest". Same contract as
-  // counter_digest_fn: called once after every job completed, empty result
-  // omits the field, must be deterministic w.r.t. --jobs.
-  std::function<std::string()> metrics_digest_fn;
-  // Optional per-lock elision counters, recorded in the manifest as
-  // "elide_locks". Called once after every job completed; returns the
-  // pre-rendered JSON array value (e.g. `[{"name": "m", ...}]`) or an empty
-  // string to omit the field. Must be deterministic w.r.t. --jobs.
-  std::function<std::string()> elide_locks_fn;
-  // Optional simulated-heap counters, recorded in the manifest as "heap".
-  // Same contract as elide_locks_fn: pre-rendered JSON object value or an
-  // empty string to omit; deterministic w.r.t. --jobs.
-  std::function<std::string()> heap_fn;
+  // Optional extra top-level manifest members, written right after
+  // "run_digest": pre-rendered JSON lines, each `  "key": value,\n` (so
+  // drivers can record the obs registry's counter digests and totals).
+  // Called once, after every job has completed; an empty result adds
+  // nothing. Must be deterministic w.r.t. --jobs — CI diffs it.
+  std::function<std::string()> manifest_members_fn;
 };
 
 class Runner {

@@ -65,7 +65,7 @@ class HleLock {
 
   // Optional observability sink (src/obs): reports re-elision and
   // lock-acquisition decisions. Attempt events flow via the machine's
-  // ObsHooks.
+  // TraceHooks.
   void set_sink(obs::TraceSink* sink) { sink_ = sink; }
 
   const HleStats& stats() const { return stats_; }

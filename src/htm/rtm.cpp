@@ -6,18 +6,6 @@
 
 namespace tsx::htm {
 
-const char* abort_class_name(AbortClass c) {
-  switch (c) {
-    case AbortClass::kConflictOrReadCap: return "conflict/read-capacity";
-    case AbortClass::kWriteCapacity: return "write-capacity";
-    case AbortClass::kLock: return "lock";
-    case AbortClass::kMisc3: return "misc3";
-    case AbortClass::kMisc5: return "misc5";
-    case AbortClass::kCount: break;
-  }
-  return "?";
-}
-
 void RtmStats::merge(const RtmStats& o) {
   transactions += o.transactions;
   attempts += o.attempts;

@@ -66,7 +66,6 @@ enum class AbortClass : uint8_t {
   kMisc5,  // interrupts / uncategorized
   kCount,
 };
-const char* abort_class_name(AbortClass c);
 
 struct RtmStats {
   uint64_t transactions = 0;  // execute() calls
@@ -116,7 +115,7 @@ class RtmExecutor {
 
   // Optional observability sink (src/obs): execute() declares the call site
   // to it and reports every retry-policy decision (backoff length, fallback
-  // taken). Begin/commit/abort events flow via the machine's ObsHooks.
+  // taken). Begin/commit/abort events flow via the machine's TraceHooks.
   void set_sink(obs::TraceSink* sink) { sink_ = sink; }
 
   // Executes `body` atomically: hardware transaction with retry, then

@@ -31,8 +31,7 @@ enum class EventKind : uint8_t {
   kTxAbort,      // attempt aborted (reason/line/attacker valid)
   kEvict,        // a capacity-tracked line left its tracking structure
   kRetry,        // retry-policy decision after a failed attempt
-  kEnergy,       // sample-window counter snapshot (--sample-interval; the
-                 // historical name, from the original --energy-window flag)
+  kEnergy,       // sample-window counter snapshot (--sample-interval)
   // Fold-only kinds below never enter the ring, so traces, abort reports
   // and their goldens do not depend on them.
   kLockSection,   // one completed lock-backend critical section (hub only)

@@ -58,7 +58,7 @@ struct ElideWindowCounters {
 struct MetricsWindow {
   sim::Cycles start = 0;
 
-  // Hardware transaction lifecycle (the machine's ObsHooks).
+  // Hardware transaction lifecycle (the machine's TraceHooks).
   uint64_t hw_starts = 0;
   uint64_t hw_commits = 0;
   uint64_t hw_aborts = 0;

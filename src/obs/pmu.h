@@ -6,7 +6,7 @@
 // (RTM_RETIRED.START/COMMIT/ABORTED, the ABORTED_MISC1-5 buckets,
 // TX_MEM.ABORT_*) plus RAPL energy windows. The Pmu gives tsxlab the same
 // surface: it folds the attempt lifecycle (hardware transactions via the
-// machine's ObsHooks, software transactions via the STM executor — both
+// machine's TraceHooks, software transactions via the STM executor — both
 // arrive as TraceSink events already paired into attempt windows),
 // attributes every per-hardware-thread cycle into committed-tx / wasted-tx /
 // non-tx / idle with an enforced identity (the four buckets tile [0, wall]

@@ -1,7 +1,5 @@
 #include "obs/trace_sink.h"
 
-#include <stdexcept>
-
 #include "obs/metrics.h"
 #include "obs/pmu.h"
 #include "sim/stats.h"
@@ -10,8 +8,7 @@ namespace tsx::obs {
 
 TraceSink::TraceSink(size_t capacity)
     : cap_(capacity), arena_(capacity * sizeof(Event)) {
-  if (capacity == 0) throw std::invalid_argument("TraceSink capacity == 0");
-  ring_ = arena_.alloc_array<Event>(capacity);
+  if (capacity) ring_ = arena_.alloc_array<Event>(capacity);
   cur_site_.fill(kNoSite);
 }
 
@@ -88,7 +85,7 @@ void TraceSink::emit(Event e) {
     case EventKind::kElideAcquire:
       break;
   }
-  if (is_ring_kind(e.kind)) push(e);
+  if (cap_ && is_ring_kind(e.kind)) push(e);
   if (pmu_) pmu_->on(e);
   if (hub_) hub_->on(e);
 }

@@ -16,9 +16,10 @@
 //
 // The ring keeps the newest `capacity` events (oldest are overwritten and
 // counted in dropped()); the folds are incremental, so attribution and
-// counters stay exact even after the ring wraps. All emission is host-side
-// work: it performs no simulated machine operation, so an installed sink
-// never perturbs simulated timing.
+// counters stay exact even after the ring wraps. Capacity 0 keeps no ring
+// at all (events() empty, dropped() 0) for runs that export no trace. All
+// emission is host-side work: it performs no simulated machine operation,
+// so an installed sink never perturbs simulated timing.
 
 #include <array>
 #include <cstdint>
@@ -107,7 +108,7 @@ class TraceSink {
   // flat PODs, never destroyed element-wise), so emission can never trigger
   // a vector reallocation mid-run.
   util::Arena arena_;
-  Event* ring_;
+  Event* ring_ = nullptr;
   size_t size_ = 0;
   size_t head_ = 0;  // next write position once the ring is full
   size_t dropped_ = 0;

@@ -57,8 +57,6 @@ class BackingStore {
   // touched before the measured region (or by a pre-faulting allocator).
   void prefault(Addr addr, uint64_t bytes);
 
-  uint64_t pages_allocated() const { return pages_.size(); }
-
   // Hot-path lookup: materialized page holding addr, or null. One compare on
   // the last-page cache; the table probe is the cold continuation.
   Page* lookup(Addr addr) const {

@@ -56,19 +56,23 @@ Machine::Machine(const MachineConfig& cfg, uint32_t num_threads)
 
 Machine::~Machine() = default;
 
-void Machine::set_obs_hooks(ObsHooks hooks, Cycles sample_window_cycles) {
-  obs_ = std::move(hooks);
-  sample_window_ = obs_.on_sample_window ? sample_window_cycles : 0;
-  next_sample_ = sample_window_;
-  max_clock_seen_ = 0;
-  sample_gate_ = sample_window_ ? 0 : ~Cycles{0};
-  if (obs_.on_tx_evict) {
+void Machine::set_trace_hooks(TraceHooks hooks, Cycles sample_window) {
+  trace_ = std::move(hooks);
+  Cycles w = trace_.on_sample_window ? sample_window : 0;
+  if (w != sample_window_) {
+    sample_window_ = w;
+    next_sample_ = w;
+    max_clock_seen_ = 0;
+    sample_gate_ = w ? 0 : ~Cycles{0};
+  }
+  if (trace_.on_tx_evict) {
     mem_.set_evict_hook([this](CtxId by, int level, uint64_t line) {
-      obs_.on_tx_evict(by, ctxs_[by].clock, level, line);
+      trace_.on_tx_evict(by, ctxs_[by].clock, level, line);
     });
   } else {
     mem_.set_evict_hook(nullptr);
   }
+  refresh_fast_flags();
 }
 
 void Machine::set_thread(CtxId ctx, ThreadFn fn) {
@@ -117,7 +121,7 @@ void Machine::cross_sample_windows(SimContext& c) {
   max_clock_seen_ = c.clock;
   sample_gate_ = c.clock;
   while (max_clock_seen_ >= next_sample_) {
-    obs_.on_sample_window(next_sample_, stats_);
+    trace_.on_sample_window(next_sample_, stats_);
     next_sample_ += sample_window_;
   }
 }
@@ -250,9 +254,8 @@ void Machine::abort_tx(CtxId victim, AbortReason reason, uint64_t line,
   if (v.tx.depth > 1) v.tx.status |= xstatus::kNested;
   ++stats_.tx.aborts_by_reason[static_cast<size_t>(reason)];
   ++stats_.tx.aborts_by_misc[static_cast<size_t>(misc_bucket_for(reason))];
-  if (trace_.on_tx_abort) trace_.on_tx_abort(victim);
-  if (obs_.on_tx_abort) {
-    obs_.on_tx_abort(victim, v.clock, reason, line, attacker);
+  if (trace_.on_tx_abort) {
+    trace_.on_tx_abort(victim, v.clock, reason, line, attacker);
   }
 }
 
@@ -401,8 +404,7 @@ void Machine::tx_begin() {
   mem_.tx_begin(c.id, c.clock);
   refresh_fast_ctx();
   ++stats_.tx.started;
-  if (trace_.on_tx_begin) trace_.on_tx_begin(c.id);
-  if (obs_.on_tx_begin) obs_.on_tx_begin(c.id, c.clock);
+  if (trace_.on_tx_begin) trace_.on_tx_begin(c.id, c.clock);
   maybe_yield();
 }
 
@@ -427,8 +429,7 @@ void Machine::tx_commit() {
   // The commit hook fires here — after the speculative state became the
   // committed state, before the next scheduling point — so a recorder sees
   // transactions in exactly their serialization order.
-  if (trace_.on_tx_commit) trace_.on_tx_commit(c.id);
-  if (obs_.on_tx_commit) obs_.on_tx_commit(c.id, c.clock);
+  if (trace_.on_tx_commit) trace_.on_tx_commit(c.id, c.clock);
   maybe_yield();
 }
 

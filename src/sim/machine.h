@@ -56,35 +56,30 @@ struct TxAborted {
   CtxId attacker = kNoCtx;
 };
 
-// Observation hooks for src/check's history recorder. Every hook fires at
-// the op's linearization point — after the value moved in the backing store
-// and (for tx_commit) after the transaction's effects became permanent, but
-// BEFORE the op's scheduling point (maybe_yield) — so the order of hook
-// invocations is exactly the order in which effects hit simulated memory.
-// All hooks are optional; unset hooks cost one branch per op.
+// The machine's one observation slot, installed by core::TxRuntime from
+// its trace sink (src/obs) and its atomic-block observer (src/check's
+// history recorder). Every hook fires host-side at the op's linearization
+// point — after the value moved in the backing store and (for tx_commit)
+// after the transaction's effects became permanent, but BEFORE the op's
+// scheduling point (maybe_yield) — so the order of hook invocations is
+// exactly the order in which effects hit simulated memory, and emission
+// never perturbs simulated timing. Timestamps are the acting context's
+// clock. All hooks are optional; unset hooks cost one branch per op.
 struct TraceHooks {
   // One data access. `old_value` is the pre-op value of the word (equal to
   // `value` for reads), `in_tx` whether the context was inside a live
   // hardware transaction. RMW ops (cas/fetch_add/swap) fire a read followed
-  // by a write; a failed CAS fires only the read.
+  // by a write; a failed CAS fires only the read. An installed on_access
+  // routes every data op through the general path.
   std::function<void(CtxId, Addr addr, Word old_value, Word value,
                      bool is_write, bool in_tx)>
       on_access;
-  std::function<void(CtxId)> on_tx_begin;   // outermost tx_begin
-  std::function<void(CtxId)> on_tx_commit;  // outermost tx_commit, effects final
-  std::function<void(CtxId)> on_tx_abort;   // after rollback, any abort cause
-};
-
-// Observability hooks for src/obs's event tracer. A SEPARATE slot from
-// TraceHooks so the check-layer recorder (which installs TraceHooks
-// wholesale) and a tracing sink can coexist on one machine. All timestamps
-// are the acting context's simulated clock, so emission is deterministic
-// and costs the simulation nothing (hooks run host-side only).
-struct ObsHooks {
-  std::function<void(CtxId, Cycles)> on_tx_begin;
+  std::function<void(CtxId, Cycles)> on_tx_begin;   // outermost tx_begin
+  // Outermost tx_commit, effects final.
   std::function<void(CtxId, Cycles)> on_tx_commit;
-  // victim, victim clock at rollback, precise cause, conflicting line
-  // (~0 if none), attacker context (== victim for self-inflicted aborts).
+  // After rollback, any cause: victim, victim clock at rollback, precise
+  // cause, conflicting line (~0 if none), attacker context (== victim for
+  // self-inflicted aborts).
   std::function<void(CtxId, Cycles, AbortReason, uint64_t, CtxId)> on_tx_abort;
   // A capacity-tracked line left its tracking structure: level 1 = L1
   // write-set eviction, 3 = L3 read-set eviction. `by` triggered the fill.
@@ -168,22 +163,12 @@ class Machine {
   // Per-core busy cycles for the energy model (valid after run()).
   double core_busy_cycles() const;
 
-  // Read-only view of the last abort delivered to `ctx` (testing).
-  AbortReason last_abort_reason(CtxId ctx) const { return ctxs_[ctx].tx.reason; }
-
-  // Installs (or clears) the observation hooks. Safe to call between ops;
-  // typically done before run() by src/check's recorder. An installed
-  // on_access hook routes every data op through the general path.
-  void set_trace_hooks(TraceHooks hooks) {
-    trace_ = std::move(hooks);
-    refresh_fast_flags();
-  }
-
-  // Installs (or clears) the observability hooks (src/obs tracer). Distinct
-  // from set_trace_hooks so recorder and tracer can coexist. If
-  // `sample_window_cycles` > 0, on_sample_window fires each time simulated
-  // time crosses a multiple of it.
-  void set_obs_hooks(ObsHooks hooks, Cycles sample_window_cycles = 0);
+  // Installs (or clears) the observation hooks, replacing every hook
+  // previously installed. Safe to call between ops. If `sample_window` > 0
+  // and on_sample_window is set, it fires each time simulated time crosses
+  // a multiple of `sample_window`; reinstalling with the same window keeps
+  // the sampling position.
+  void set_trace_hooks(TraceHooks hooks, Cycles sample_window = 0);
 
  private:
   struct HwTx {
@@ -313,7 +298,6 @@ class Machine {
   Rng setup_rng_;
   Rng sched_rng_;  // scheduler jitter (sched_jitter_window)
   TraceHooks trace_;
-  ObsHooks obs_;
   Cycles sample_window_ = 0;  // 0 = counter sampling off
   Cycles next_sample_ = 0;    // next window boundary to report
   Cycles max_clock_seen_ = 0; // high-water mark driving window crossings

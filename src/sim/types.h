@@ -18,7 +18,6 @@ inline constexpr uint32_t kMaxCtxs = 8;
 
 inline constexpr uint64_t line_of(Addr a) { return a / kLineBytes; }
 inline constexpr uint64_t page_of(Addr a) { return a / kPageBytes; }
-inline constexpr Addr line_base(Addr a) { return a & ~Addr(kLineBytes - 1); }
 
 // Internal (precise) abort causes. The *architectural* view reported to
 // software collapses some of these, exactly as the paper observes on real

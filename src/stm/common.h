@@ -10,12 +10,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/retry_policy.h"
 #include "core/scope_hooks.h"
+#include "core/trace.h"
 #include "sim/machine.h"
 #include "sim/types.h"
 #include "util/fn_ref.h"
@@ -174,13 +174,12 @@ class StmSystem {
   StmStats& stats() { return stats_; }
   const StmStats& stats() const { return stats_; }
 
-  // Observation hook for src/check's history recorder: implementations call
-  // it from tx_commit at the transaction's serialization point — after
-  // validation has succeeded (commit is now inevitable) and before the
-  // write-back makes the new values readable by other contexts.
-  void set_serialize_hook(std::function<void(CtxId)> fn) {
-    serialize_hook_ = std::move(fn);
-  }
+  // The runtime's observer slot (src/check's history recorder), read at
+  // call time. Implementations report the transaction's serialization point
+  // through it from tx_commit — after validation has succeeded (commit is
+  // now inevitable) and before the write-back makes the new values readable
+  // by other contexts.
+  void set_observer(core::TxObserver* const* slot) { observer_ = slot; }
 
  protected:
   [[noreturn]] void abort_tx(StmAbortCause cause, Addr addr = ~Addr{0},
@@ -190,12 +189,12 @@ class StmSystem {
   }
 
   void notify_serialized(CtxId ctx) {
-    if (serialize_hook_) serialize_hook_(ctx);
+    if (observer_ && *observer_) (*observer_)->on_unit_commit(ctx);
   }
 
   Machine& m_;
   StmStats stats_;
-  std::function<void(CtxId)> serialize_hook_;
+  core::TxObserver* const* observer_ = nullptr;
 };
 
 // Retry loop with suicide contention management. The wait between attempts

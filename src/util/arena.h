@@ -37,7 +37,6 @@ class Arena {
     }
     std::byte* p = blocks_[cur_block_].data.get() + pos;
     pos_ = pos + bytes;
-    bytes_used_ = std::max(bytes_used_, total_before_cur_ + pos_);
     return p;
   }
 
@@ -62,12 +61,9 @@ class Arena {
   void reset() {
     cur_block_ = 0;
     pos_ = 0;
-    total_before_cur_ = 0;
   }
 
   size_t blocks() const { return blocks_.size(); }
-  // High-water mark of bytes handed out (diagnostics / tests).
-  size_t bytes_used() const { return bytes_used_; }
 
  private:
   struct Block {
@@ -80,10 +76,7 @@ class Arena {
   void next_block(size_t min_bytes) {
     // Advance past the current block (if any), then skip recycled blocks
     // too small for this request; grow a fresh block if none fits.
-    if (cur_block_ < blocks_.size()) {
-      total_before_cur_ += pos_;
-      ++cur_block_;
-    }
+    if (cur_block_ < blocks_.size()) ++cur_block_;
     while (cur_block_ < blocks_.size() &&
            blocks_[cur_block_].cap < min_bytes) {
       ++cur_block_;
@@ -100,8 +93,6 @@ class Arena {
   std::vector<Block> blocks_;
   size_t cur_block_ = 0;
   size_t pos_ = 0;
-  size_t total_before_cur_ = 0;
-  size_t bytes_used_ = 0;
 };
 
 }  // namespace tsx::util

@@ -9,7 +9,7 @@
 // lvalue/rvalue at the call site. It does NOT extend the callable's
 // lifetime: only pass it down synchronous call chains (transaction bodies,
 // eviction callbacks) where the referent outlives the call. Seams that
-// *store* callables (TraceHooks/ObsHooks, AbortFn) keep std::function.
+// *store* callables (sim::TraceHooks, AbortFn) keep std::function.
 
 #include <memory>
 #include <type_traits>

@@ -138,8 +138,11 @@ TEST(Runner, ManifestRecordsJobsAndDigest) {
   EXPECT_NE(m.find("\"total_jobs\": 3"), std::string::npos) << m;
   EXPECT_NE(m.find("\"seed\": 102"), std::string::npos) << m;
   EXPECT_NE(m.find("\"label\": \"cell1\""), std::string::npos) << m;
-  // No elide_locks_fn installed -> the key must be absent entirely.
-  EXPECT_EQ(m.find("\"elide_locks\""), std::string::npos) << m;
+  // No manifest_members_fn installed -> run_digest is followed directly by
+  // jobs_flag, with no extra member in between.
+  size_t run = m.find("\"run_digest\"");
+  ASSERT_NE(run, std::string::npos) << m;
+  EXPECT_EQ(m.find("\n", run) + 1, m.find("  \"jobs_flag\"")) << m;
 }
 
 TEST(Runner, ManifestEmbedsElideLockCounters) {
@@ -147,21 +150,31 @@ TEST(Runner, ManifestEmbedsElideLockCounters) {
   RunnerOptions opt = quiet(1);
   opt.bench_id = "unit_elide_manifest";
   opt.manifest_stream = &manifest;
-  opt.elide_locks_fn = [] {
+  opt.manifest_members_fn = [] {
     return std::string(
-        "[{\"name\": \"m\", \"acquisitions\": 7, \"attempts\": 9, "
-        "\"elided\": 5, \"fallbacks\": 2, \"lock_acquires\": 2, "
-        "\"self_stops\": 0}]");
+        "  \"counter_digest\": \"0x0000000000001234\",\n"
+        "  \"elide_locks\": [{\"name\": \"m\", \"acquisitions\": 7, "
+        "\"attempts\": 9, \"elided\": 5, \"fallbacks\": 2, "
+        "\"lock_acquires\": 2, \"self_stops\": 0}],\n");
   };
   Runner r(opt);
   std::vector<Job> js(1);
   js[0].fn = [] {};
   r.run(std::move(js));
   std::string m = manifest.str();
-  EXPECT_NE(m.find("\"elide_locks\": [{\"name\": \"m\""), std::string::npos)
-      << m;
+  // The members land between run_digest and jobs_flag, in the order given.
+  size_t run = m.find("\"run_digest\"");
+  size_t digest = m.find("  \"counter_digest\": \"0x0000000000001234\",\n");
+  size_t locks = m.find("  \"elide_locks\": [{\"name\": \"m\"");
+  size_t jobs = m.find("  \"jobs_flag\"");
+  ASSERT_NE(run, std::string::npos) << m;
+  ASSERT_NE(digest, std::string::npos) << m;
+  ASSERT_NE(locks, std::string::npos) << m;
+  EXPECT_LT(run, digest);
+  EXPECT_LT(digest, locks);
+  EXPECT_LT(locks, jobs);
   EXPECT_NE(m.find("\"acquisitions\": 7"), std::string::npos) << m;
-  EXPECT_NE(m.find("\"fallbacks\": 2"), std::string::npos) << m;
+  EXPECT_NE(m.find("\"self_stops\": 0}],\n"), std::string::npos) << m;
 }
 
 TEST(Runner, ManifestOmitsElideLocksWhenFnReturnsEmpty) {
@@ -169,13 +182,17 @@ TEST(Runner, ManifestOmitsElideLocksWhenFnReturnsEmpty) {
   RunnerOptions opt = quiet(1);
   opt.bench_id = "unit_elide_manifest_empty";
   opt.manifest_stream = &manifest;
-  opt.elide_locks_fn = [] { return std::string(); };
+  opt.manifest_members_fn = [] { return std::string(); };
   Runner r(opt);
   std::vector<Job> js(1);
   js[0].fn = [] {};
   r.run(std::move(js));
-  EXPECT_EQ(manifest.str().find("\"elide_locks\""), std::string::npos)
-      << manifest.str();
+  // An empty result adds nothing: run_digest is followed directly by
+  // jobs_flag, as in a manifest without the fn.
+  std::string m = manifest.str();
+  size_t run = m.find("\"run_digest\"");
+  ASSERT_NE(run, std::string::npos) << m;
+  EXPECT_EQ(m.find("\n", run) + 1, m.find("  \"jobs_flag\"")) << m;
 }
 
 // Progress-line policy: redirected output (stderr not a TTY) must stay free

@@ -17,6 +17,7 @@
 
 #include "core/runtime.h"
 #include "obs/metrics.h"
+#include "obs/pmu.h"
 #include "obs/registry.h"
 #include "obs/trace_sink.h"
 
@@ -322,6 +323,54 @@ TEST(FlameProfile, WeightsSumToWastedCyclesEvenAfterRingWrap) {
     for (const auto& [key, cycles] : edges) flame_total += cycles;
   }
   EXPECT_EQ(flame_total, p->split.wasted);
+}
+
+// ---- Ring capacity 0: every fold stays exact ----
+
+// Untraced bench runs keep no event ring (only the Chrome trace export reads
+// it). PMU data, per-site attribution and the metrics digest must not
+// notice: each is folded at emission time, never replayed from the ring.
+TEST(RingCapacity, ZeroCapacityRunFoldsLikeAFullRing) {
+  for (Backend b : {Backend::kRtm, Backend::kTinyStm, Backend::kHybrid}) {
+    auto capture = [b](size_t ring_capacity) {
+      core::RunConfig cfg = traced_cfg(b, ring_capacity);
+      cfg.obs.sample_interval = 2000;
+      core::TxRuntime rt(cfg);
+      run_contended(rt, 2);
+      return obs::make_capture(*rt.trace_sink(), "cell", 3.3, 2,
+                               rt.pmu_data(), rt.metrics_data());
+    };
+    obs::Capture full = capture(1 << 16);
+    obs::Capture none = capture(0);
+    EXPECT_FALSE(full.events.empty());
+    EXPECT_EQ(full.dropped, 0u);
+    EXPECT_TRUE(none.events.empty());
+    EXPECT_EQ(none.dropped, 0u);
+    ASSERT_TRUE(none.pmu.has_value());
+    EXPECT_FALSE(none.pmu->samples.empty());
+
+    obs::Registry with_ring, without_ring;
+    with_ring.add(full);
+    without_ring.add(none);
+    EXPECT_EQ(with_ring.counter_digest(), without_ring.counter_digest());
+    ASSERT_TRUE(without_ring.metrics_digest().has_value());
+    EXPECT_EQ(with_ring.metrics_digest(), without_ring.metrics_digest());
+
+    ASSERT_EQ(full.sites.size(), none.sites.size());
+    for (const auto& [site, agg] : full.sites) {
+      const obs::SiteAgg& z = none.sites.at(site);
+      EXPECT_EQ(agg.attempts, z.attempts);
+      EXPECT_EQ(agg.commits, z.commits);
+      EXPECT_EQ(agg.fallbacks, z.fallbacks);
+      EXPECT_EQ(agg.aborts_by_reason, z.aborts_by_reason);
+      EXPECT_EQ(agg.conflict_lines, z.conflict_lines);
+      EXPECT_EQ(agg.attacker_sites, z.attacker_sites);
+    }
+    std::ostringstream ps_full, ps_none;
+    obs::write_perf_stat(ps_full, {full});
+    obs::write_perf_stat(ps_none, {none});
+    EXPECT_EQ(ps_full.str(), ps_none.str()) << core::backend_name(b);
+  }
 }
 
 // ---- Exporters ----

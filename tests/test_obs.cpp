@@ -200,8 +200,72 @@ TEST(TraceSink, OneOpenAttemptTableFeedsEveryFold) {
   EXPECT_EQ(m.lock_names.at(6), "idle");
 }
 
-TEST(TraceSink, RejectsZeroCapacity) {
-  EXPECT_THROW(obs::TraceSink sink(0), std::invalid_argument);
+// Capacity 0 keeps no ring: nothing is stored or counted as dropped, while
+// SiteAgg and the PMU fold the same stream exactly as a sink with a ring.
+TEST(TraceSink, ZeroCapacityKeepsNoRingButFoldsExactly) {
+  using obs::EventKind;
+  obs::TraceSink ringless(0);
+  obs::TraceSink ring(64);
+  obs::Pmu pmu0(2);
+  obs::Pmu pmu1(2);
+  ringless.set_pmu(&pmu0);
+  ring.set_pmu(&pmu1);
+  for (obs::TraceSink* s : {&ringless, &ring}) {
+    s->set_site(0, 7);
+    s->set_site(1, 9);
+    for (Cycles t = 0; t < 200; t += 20) {
+      s->emit({.kind = EventKind::kTxBegin, .ctx = 0, .t = t});
+      if (t % 40) {
+        s->emit({.kind = EventKind::kTxCommit, .ctx = 0, .t = t + 15});
+      } else {
+        s->emit({.kind = EventKind::kTxAbort,
+                 .reason = AbortReason::kConflict,
+                 .ctx = 0,
+                 .attacker = 1,
+                 .t = t + 10,
+                 .line = 0x40});
+        s->emit(obs::retry_event(0, t + 10, t == 160));
+      }
+    }
+    s->emit({.kind = EventKind::kEvict, .level = 1, .ctx = 1, .t = 5,
+             .line = 0x80});
+  }
+  EXPECT_EQ(ringless.capacity(), 0u);
+  EXPECT_EQ(ringless.size(), 0u);
+  EXPECT_TRUE(ringless.events().empty());
+  EXPECT_EQ(ringless.dropped(), 0u);
+  EXPECT_EQ(ring.events().size(), 26u);  // every ring kind was kept
+
+  ASSERT_EQ(ringless.sites().size(), ring.sites().size());
+  const obs::SiteAgg& a = ringless.sites().at(7);
+  const obs::SiteAgg& b = ring.sites().at(7);
+  EXPECT_EQ(a.attempts, 10u);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.commits, b.commits);
+  EXPECT_EQ(a.fallbacks, 1u);
+  EXPECT_EQ(a.fallbacks, b.fallbacks);
+  EXPECT_EQ(a.aborts_by_reason, b.aborts_by_reason);
+  EXPECT_EQ(a.conflict_lines, b.conflict_lines);
+  EXPECT_EQ(a.attacker_sites, b.attacker_sites);
+  EXPECT_EQ(a.attacker_sites.at(9), 5u);
+
+  auto fin = [](const obs::Pmu& p) {
+    return p.finalize(sim::MachineStats{}, 300, {300, 300}, {300, 300}, 0.0,
+                      sim::EnergyParams{}, 3.3);
+  };
+  obs::PmuData d0 = fin(pmu0);
+  obs::PmuData d1 = fin(pmu1);
+  EXPECT_EQ(d0.split.committed, 75u);
+  EXPECT_EQ(d0.split.committed, d1.split.committed);
+  EXPECT_EQ(d0.split.wasted, d1.split.wasted);
+  EXPECT_EQ(d0.fallbacks, d1.fallbacks);
+  EXPECT_EQ(d0.mismatched, d1.mismatched);
+  EXPECT_EQ(d0.tx_duration.count(), d1.tx_duration.count());
+  EXPECT_EQ(d0.abort_latency.count(), d1.abort_latency.count());
+  std::ostringstream r0, r1;
+  obs::write_perf_stat(r0, {obs::make_capture(ringless, "t", 3.3, 2, d0)});
+  obs::write_perf_stat(r1, {obs::make_capture(ring, "t", 3.3, 2, d1)});
+  EXPECT_EQ(r0.str(), r1.str());
 }
 
 // Two threads hammer the same word from distinct call sites: the abort
