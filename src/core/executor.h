@@ -6,8 +6,9 @@
 //
 // Responsibilities of an executor:
 //   * execute(): run a body as one atomic block (attempts, retries,
-//     fallback — per its core::RetryPolicy where applicable), including the
-//     heap transaction-scope hooks and the check recorder's unit bracketing;
+//     fallback — per its core::RetryPolicy where applicable), opening and
+//     closing every attempt through the ExecutorEnv bracket (heap scope,
+//     recorder units, sink); the engines it wraps take the same env;
 //   * load()/store(): the transactional data path used by TxCtx inside
 //     atomic blocks (STM-backed executors route these through tx_read/
 //     tx_write; everything else goes straight to the machine);
@@ -16,40 +17,19 @@
 // Concrete executors live in executors.cpp; nothing outside it needs their
 // types.
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/trace.h"
+#include "core/executor_env.h"
 #include "htm/rtm.h"
-#include "mem/sim_heap.h"
 #include "sim/machine.h"
 #include "stm/common.h"
 #include "util/fn_ref.h"
 
-namespace tsx::obs {
-class TraceSink;
-}  // namespace tsx::obs
-
 namespace tsx::core {
 
 struct RunConfig;  // core/runtime.h
-
-// What the runtime lends its executor. `observer` points at the runtime's
-// observer slot (not the observer itself): executors and their STM read it
-// at call time, so TxRuntime::set_observer needs no re-wiring. `sink` is
-// the optional structured-event trace sink (null when tracing is off);
-// executors only emit policy-level and software-attempt events to it (site
-// labels, retry/fallback decisions) — hardware tx lifecycle events reach
-// both the sink and the observer through the machine's TraceHooks, which
-// only TxRuntime installs.
-struct ExecutorEnv {
-  sim::Machine* machine = nullptr;
-  mem::SimHeap* heap = nullptr;
-  TxObserver* const* observer = nullptr;
-  obs::TraceSink* sink = nullptr;
-};
 
 // Result of one *elision* attempt batch (TxExecutor::elide): the body either
 // committed speculatively, bailed because the subscribed lock word was held,
@@ -135,8 +115,6 @@ class TxExecutor {
   }
 
  protected:
-  TxObserver* obs() const { return env_.observer ? *env_.observer : nullptr; }
-
   ExecutorEnv env_;
 };
 

@@ -1,7 +1,8 @@
 // Concrete TxExecutor implementations for every Backend, plus the
 // make_executor() registry. This file is the only place that knows which
-// synchronization object a backend uses, where it lives in the runtime
-// region, and how heap scoping / history observation wrap its attempts.
+// synchronization object a backend uses and where it lives in the runtime
+// region. Every engine it builds brackets its attempts through the same
+// ExecutorEnv (core/executor_env.h).
 //
 // Runtime-region line assignment (one object per line, see mem/layout.h):
 //   line 0: global ticket spinlock (kLock)
@@ -18,7 +19,6 @@
 #include "core/runtime.h"
 #include "htm/hle.h"
 #include "mem/layout.h"
-#include "obs/trace_sink.h"
 #include "stm/tinystm.h"
 #include "stm/tl2.h"
 #include "sync/spinlock.h"
@@ -32,40 +32,24 @@ using sim::CtxId;
 using sim::Cycles;
 using sim::Word;
 
-// Heap transaction scoping + recorder unit bracketing around every
-// speculative attempt / fallback execution. Hardware and STM attempts seal
-// their units earlier, at the true serialization point (the machine's
-// tx_commit, StmSystem::tx_commit); the commit call here is then a no-op.
-ScopeHooks make_scope_hooks(const ExecutorEnv& env) {
-  return ScopeHooks{
-      [env] {
-        CtxId c = env.machine->current_ctx();
-        env.heap->tx_scope_begin(c);
-        if (TxObserver* o = *env.observer) o->on_unit_begin(c, 0);
-      },
-      [env] {
-        CtxId c = env.machine->current_ctx();
-        env.heap->tx_scope_commit(c);
-        if (TxObserver* o = *env.observer) o->on_unit_commit(c);
-      },
-      [env] {
-        CtxId c = env.machine->current_ctx();
-        env.heap->tx_scope_abort(c);
-        if (TxObserver* o = *env.observer) o->on_unit_abort(c);
-      },
-  };
+// A failed elision attempt: the subscribed lock word was held, or the
+// attempt aborted for a data/capacity/interrupt reason.
+ElideOutcome elide_failure(const htm::AttemptResult& r) {
+  bool busy = r.reason == sim::AbortReason::kExplicit &&
+              sim::xstatus::unpack_code(r.status) == htm::kAbortCodeLockBusy;
+  return busy ? ElideOutcome::kLockBusy : ElideOutcome::kAborted;
 }
 
 // One speculative elision attempt on a hardware-transactional backend:
 // subscribe the lock word inside the transaction (abort kAbortCodeLockBusy
 // when held), run the body, and map the attempt result onto ElideOutcome.
-// Mirrors RtmExecutor::execute's hook ordering so the recorder and heap
+// Brackets the attempt like RtmExecutor::execute, so the recorder and heap
 // scoping see elided sections exactly like executor transactions.
-ElideOutcome hw_elide(sim::Machine& m, obs::TraceSink* sink,
-                      const ScopeHooks& hooks,
-                      util::FnRef<void()> body, Addr lock_word, uint32_t site) {
-  if (sink) sink->set_site(m.current_ctx(), site);
-  hooks.on_begin();
+ElideOutcome hw_elide(const ExecutorEnv& env, util::FnRef<void()> body,
+                      Addr lock_word, uint32_t site) {
+  sim::Machine& m = *env.machine;
+  CtxId c = m.current_ctx();
+  env.begin_hw(c, site);
   htm::AttemptResult r = htm::attempt(m, [&] {
     if (lock_word != 0 && m.load(lock_word) != 0) {
       m.tx_abort(htm::kAbortCodeLockBusy);
@@ -73,15 +57,11 @@ ElideOutcome hw_elide(sim::Machine& m, obs::TraceSink* sink,
     body();
   });
   if (r.committed) {
-    hooks.on_commit();
+    env.commit(c);
     return ElideOutcome::kCommitted;
   }
-  hooks.on_abort();
-  if (r.reason == sim::AbortReason::kExplicit &&
-      sim::xstatus::unpack_code(r.status) == htm::kAbortCodeLockBusy) {
-    return ElideOutcome::kLockBusy;
-  }
-  return ElideOutcome::kAborted;
+  env.abort(c);
+  return elide_failure(r);
 }
 
 // ---- kSeq ----
@@ -94,9 +74,9 @@ class SeqExecutor final : public TxExecutor {
 
   void execute(util::FnRef<void()> body, uint32_t site) override {
     CtxId c = env_.machine->current_ctx();
-    if (TxObserver* o = obs()) o->on_unit_begin(c, site);
+    if (TxObserver* o = env_.obs()) o->on_unit_begin(c, site);
     body();
-    if (TxObserver* o = obs()) o->on_unit_commit(c);
+    if (TxObserver* o = env_.obs()) o->on_unit_commit(c);
   }
 };
 
@@ -117,20 +97,19 @@ class SpinLockExecutor final : public TxExecutor {
 
   void execute(util::FnRef<void()> body, uint32_t site) override {
     CtxId c = env_.machine->current_ctx();
-    if (env_.sink) env_.sink->set_site(c, site);
     lock_.lock();
     // Section timestamps for the metrics hub's lock-activity signal
     // (hub-only: no ring event, no PMU counter, no simulated work).
     Cycles t0 = env_.sink ? env_.machine->now() : 0;
-    if (TxObserver* o = obs()) o->on_unit_begin(c, site);
+    if (TxObserver* o = env_.obs()) o->on_unit_begin(c, site);
     try {
       body();
     } catch (...) {
-      if (TxObserver* o = obs()) o->on_unit_abort(c);
+      if (TxObserver* o = env_.obs()) o->on_unit_abort(c);
       lock_.unlock();
       throw;
     }
-    if (TxObserver* o = obs()) o->on_unit_commit(c);
+    if (TxObserver* o = env_.obs()) o->on_unit_commit(c);
     if (env_.sink) {
       Cycles t1 = env_.machine->now();
       env_.sink->emit({.kind = obs::EventKind::kLockSection,
@@ -153,28 +132,19 @@ class HleExecutor final : public TxExecutor {
   HleExecutor(const ExecutorEnv& env, uint32_t elision_attempts)
       : TxExecutor(env),
         lock_(*env.machine, mem::kRuntimeRegionBase + 2 * sim::kLineBytes,
-              elision_attempts),
-        hooks_(make_scope_hooks(env)) {
+              elision_attempts, &env) {
     lock_.init();
-    // Heap scoping and observer bracketing fire per elision attempt;
-    // lock-path sections seal before the unlock, elided sections seal at
-    // the machine's tx_commit (the later scope-commit call is an idempotent
-    // backstop).
-    lock_.set_scope_hooks(hooks_);
-    lock_.set_sink(env.sink);
   }
 
   const char* name() const override { return "HLE"; }
 
   void execute(util::FnRef<void()> body, uint32_t site) override {
-    if (env_.sink) env_.sink->set_site(env_.machine->current_ctx(), site);
-    lock_.critical_section(body);
+    lock_.critical_section(body, site);
   }
 
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
-    return hw_elide(*env_.machine, env_.sink, hooks_, body, lock_word,
-                    site);
+    return hw_elide(env_, body, lock_word, site);
   }
 
   // Hardware elision needs raw lock-word RMWs (glibc-style): exclusion
@@ -190,7 +160,6 @@ class HleExecutor final : public TxExecutor {
 
  private:
   htm::HleLock lock_;
-  ScopeHooks hooks_;
 };
 
 // ---- kRtm ----
@@ -199,11 +168,9 @@ class RtmSerialExecutor final : public TxExecutor {
  public:
   RtmSerialExecutor(const ExecutorEnv& env, const RetryPolicy& policy)
       : TxExecutor(env),
-        rtm_(*env.machine, mem::kRuntimeRegionBase + sim::kLineBytes, policy),
-        hooks_(make_scope_hooks(env)) {
+        rtm_(*env.machine, mem::kRuntimeRegionBase + sim::kLineBytes, policy,
+             &env) {
     rtm_.init();
-    rtm_.set_scope_hooks(hooks_);
-    rtm_.set_sink(env.sink);
   }
 
   const char* name() const override { return "RTM"; }
@@ -218,8 +185,7 @@ class RtmSerialExecutor final : public TxExecutor {
   // per-lock elision statistics live in the elide layer and the PMU.
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
-    return hw_elide(*env_.machine, env_.sink, hooks_, body, lock_word,
-                    site);
+    return hw_elide(env_, body, lock_word, site);
   }
 
   // Raw lock-word RMWs, as for HLE: the CAS itself is the conflict source
@@ -241,7 +207,6 @@ class RtmSerialExecutor final : public TxExecutor {
 
  private:
   htm::RtmExecutor rtm_;
-  ScopeHooks hooks_;
 };
 
 // ---- STM-backed executors (kTinyStm, kTl2, and kHybrid's fallback) ----
@@ -258,17 +223,14 @@ class StmBackedExecutor : public TxExecutor {
                     const stm::StmConfig& cfg)
       : TxExecutor(env),
         stm_(std::move(sys)),
-        stm_exec_(*env.machine, *stm_, cfg) {
+        stm_exec_(*env.machine, *stm_, cfg, &env) {
     stm_->init();
-    stm_->set_observer(env.observer);
-    stm_exec_.set_scope_hooks(make_scope_hooks(env));
-    stm_exec_.set_sink(env.sink);
   }
 
   Word load(CtxId ctx, Addr a) override {
     if (!stm_->tx_active(ctx)) return env_.machine->load(a);
     Word v = stm_->tx_read(ctx, a);
-    if (TxObserver* o = obs()) o->on_stm_read(ctx, a, v);
+    if (TxObserver* o = env_.obs()) o->on_stm_read(ctx, a, v);
     return v;
   }
 
@@ -279,9 +241,9 @@ class StmBackedExecutor : public TxExecutor {
     }
     // Latch the committed value before tx_write so the recorder can record
     // the pre-image for the replay's initial state.
-    Word pre = obs() ? env_.machine->peek(a) : 0;
+    Word pre = env_.obs() ? env_.machine->peek(a) : 0;
     stm_->tx_write(ctx, a, v);
-    if (TxObserver* o = obs()) o->on_stm_write(ctx, a, v, pre);
+    if (TxObserver* o = env_.obs()) o->on_stm_write(ctx, a, v, pre);
   }
 
   bool stm_active(CtxId ctx) const override { return stm_->tx_active(ctx); }
@@ -399,37 +361,25 @@ class HybridExecutor final : public StmBackedExecutor {
   HybridExecutor(const ExecutorEnv& env, const RetryPolicy& policy,
                  const stm::StmConfig& cfg)
       : StmBackedExecutor(
-            env, std::make_unique<stm::TinyStm>(*env.machine, mem::kStmRegionBase, cfg),
+            env,
+            std::make_unique<stm::TinyStm>(*env.machine, mem::kStmRegionBase,
+                                           cfg, &env),
             cfg),
         m_(*env.machine),
         policy_(policy),
         tiny_(static_cast<stm::TinyStm*>(stm_.get())),
-        clock_line_(sim::line_of(tiny_->clock_addr())),
-        hw_hooks_(make_scope_hooks(env)) {}
+        clock_line_(sim::line_of(tiny_->clock_addr())) {}
 
   const char* name() const override { return "Hybrid"; }
 
   void execute(util::FnRef<void()> body, uint32_t site) override {
-    // Index, not pointer: body() may yield to a fiber whose execute()
-    // appends a new site and reallocates sites_ underneath us.
-    size_t site_idx = sites_.size();
-    for (size_t i = 0; i < sites_.size(); ++i) {
-      if (sites_[i].first == site) {
-        site_idx = i;
-        break;
-      }
-    }
-    if (site_idx == sites_.size()) sites_.emplace_back(site, htm::RtmStats{});
-    ++total_.transactions;
-    ++sites_[site_idx].second.transactions;
-
+    size_t site_idx = stats_.enter(site);
     CtxId ctx = m_.current_ctx();
-    if (env_.sink) env_.sink->set_site(ctx, site);
     PerCtx& pc = per_ctx_[ctx];
     uint32_t attempts = 0;
     while (!policy_.exhausted(attempts)) {
       ++attempts;
-      hw_hooks_.on_begin();
+      env_.begin_hw(ctx, site);
       pc.hw = true;
       pc.write_stripes.clear();
       htm::AttemptResult r = htm::attempt(m_, [&] {
@@ -437,13 +387,12 @@ class HybridExecutor final : public StmBackedExecutor {
         publish(pc);
       });
       pc.hw = false;
-      record(total_, r);
-      record(sites_[site_idx].second, r);
+      stats_.record(site_idx, r, classify(r));
       if (r.committed) {
-        hw_hooks_.on_commit();
+        env_.commit(ctx);
         return;
       }
-      hw_hooks_.on_abort();
+      env_.abort(ctx);
       // Capacity aborts are deterministic: the transaction cannot fit, so
       // retrying in hardware is futile (real TSX clears the RETRY hint for
       // them). Go straight to the software fallback — it is concurrent, so
@@ -453,23 +402,16 @@ class HybridExecutor final : public StmBackedExecutor {
         break;
       }
       if (policy_.exhausted(attempts)) break;
-      Cycles wait = policy_.backoff_cycles(attempts, m_.setup_rng());
-      if (env_.sink) {
-        env_.sink->emit(obs::retry_event(ctx, m_.now(), false, wait));
-      }
-      if (wait) m_.compute(wait);
+      env_.retry(ctx, policy_.backoff_cycles(attempts, m_.setup_rng()));
     }
 
     // Software fallback: a full TinySTM transaction, concurrent with other
     // contexts' hardware attempts (which it dooms on true conflict).
     Cycles t0 = m_.now();
-    ++total_.fallbacks;
-    ++sites_[site_idx].second.fallbacks;
-    if (env_.sink) env_.sink->emit(obs::retry_event(ctx, m_.now(), true));
+    stats_.add_fallback(site_idx);
+    env_.fallback(ctx);
     stm_exec_.execute(body, site);
-    Cycles dt = m_.now() - t0;
-    total_.cycles_fallback += dt;
-    sites_[site_idx].second.cycles_fallback += dt;
+    stats_.add_fallback_cycles(site_idx, m_.now() - t0);
   }
 
   Word load(CtxId ctx, Addr a) override {
@@ -500,9 +442,8 @@ class HybridExecutor final : public StmBackedExecutor {
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
     CtxId ctx = m_.current_ctx();
-    if (env_.sink) env_.sink->set_site(ctx, site);
     PerCtx& pc = per_ctx_[ctx];
-    hw_hooks_.on_begin();
+    env_.begin_hw(ctx, site);
     pc.hw = true;
     pc.write_stripes.clear();
     htm::AttemptResult r = htm::attempt(m_, [&] {
@@ -515,21 +456,17 @@ class HybridExecutor final : public StmBackedExecutor {
     });
     pc.hw = false;
     if (r.committed) {
-      hw_hooks_.on_commit();
+      env_.commit(ctx);
       return ElideOutcome::kCommitted;
     }
-    hw_hooks_.on_abort();
-    if (r.reason == sim::AbortReason::kExplicit &&
-        sim::xstatus::unpack_code(r.status) == htm::kAbortCodeLockBusy) {
-      return ElideOutcome::kLockBusy;
-    }
-    return ElideOutcome::kAborted;
+    env_.abort(ctx);
+    return elide_failure(r);
   }
 
-  htm::RtmStats rtm_stats() const override { return total_; }
+  htm::RtmStats rtm_stats() const override { return stats_.total(); }
   std::vector<std::pair<uint32_t, htm::RtmStats>> rtm_site_stats()
       const override {
-    return sites_;
+    return stats_.sites();
   }
 
  private:
@@ -569,26 +506,12 @@ class HybridExecutor final : public StmBackedExecutor {
     return htm::RtmExecutor::classify(r, clock_line_);
   }
 
-  void record(htm::RtmStats& s, const htm::AttemptResult& r) const {
-    ++s.attempts;
-    if (r.committed) {
-      ++s.commits;
-      s.cycles_committed += r.cycles;
-      return;
-    }
-    s.cycles_aborted += r.cycles;
-    ++s.aborts_by_class[static_cast<size_t>(classify(r))];
-    ++s.aborts_by_reason[static_cast<size_t>(r.reason)];
-  }
-
   sim::Machine& m_;
   RetryPolicy policy_;
   stm::TinyStm* tiny_;  // the same object stm_ owns, concretely typed
   uint64_t clock_line_;
-  ScopeHooks hw_hooks_;
   std::array<PerCtx, sim::kMaxCtxs> per_ctx_{};
-  htm::RtmStats total_;
-  std::vector<std::pair<uint32_t, htm::RtmStats>> sites_;
+  htm::RtmSiteStats stats_;
 };
 
 }  // namespace
@@ -622,17 +545,14 @@ ElideOutcome TxExecutor::elide(util::FnRef<void()> body,
 void TxExecutor::elide_fallback(util::FnRef<void()> body,
                                 uint32_t site) {
   CtxId c = env_.machine->current_ctx();
-  env_.heap->tx_scope_begin(c);
-  if (TxObserver* o = obs()) o->on_unit_begin(c, site);
+  env_.begin(c, site);
   try {
     body();
   } catch (...) {
-    env_.heap->tx_scope_abort(c);
-    if (TxObserver* o = obs()) o->on_unit_abort(c);
+    env_.abort(c);
     throw;
   }
-  env_.heap->tx_scope_commit(c);
-  if (TxObserver* o = obs()) o->on_unit_commit(c);
+  env_.commit(c);
 }
 
 // Default lock-word RMWs run as (tiny) atomic blocks. This matters for the
@@ -681,13 +601,13 @@ std::unique_ptr<TxExecutor> make_executor(const RunConfig& cfg,
       return std::make_unique<StmExecutorAdapter>(
           env,
           std::make_unique<stm::TinyStm>(*env.machine, mem::kStmRegionBase,
-                                         cfg.stm),
+                                         cfg.stm, &env),
           cfg.stm);
     case Backend::kTl2:
       return std::make_unique<StmExecutorAdapter>(
           env,
           std::make_unique<stm::Tl2>(*env.machine, mem::kStmRegionBase,
-                                     cfg.stm),
+                                     cfg.stm, &env),
           cfg.stm);
     case Backend::kHle:
       return std::make_unique<HleExecutor>(env, cfg.hle_elision_attempts);

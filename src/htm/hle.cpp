@@ -1,12 +1,10 @@
 #include "htm/hle.h"
 
-#include "htm/rtm.h"
-#include "obs/trace_sink.h"
-
 namespace tsx::htm {
 
-bool HleLock::try_elided(util::FnRef<void()> body) {
-  hooks_.on_begin();
+bool HleLock::try_elided(util::FnRef<void()> body, uint32_t site) {
+  sim::CtxId ctx = m_.current_ctx();
+  env_.begin_hw(ctx, site);
   AttemptResult r = attempt(m_, [&] {
     // The elided acquisition: the lock word joins the read-set and must
     // look free (a held lock means someone is inside non-speculatively).
@@ -17,39 +15,38 @@ bool HleLock::try_elided(util::FnRef<void()> body) {
   });
   if (r.committed) {
     ++stats_.elided_commits;
-    hooks_.on_commit();
+    env_.commit(ctx);
     return true;
   }
   ++stats_.elision_aborts;
-  hooks_.on_abort();
+  env_.abort(ctx);
   return false;
 }
 
-void HleLock::critical_section(util::FnRef<void()> body) {
+void HleLock::critical_section(util::FnRef<void()> body, uint32_t site) {
   ++stats_.sections;
+  sim::CtxId ctx = m_.current_ctx();
   for (uint32_t a = 0; a < attempts_; ++a) {
-    if (try_elided(body)) return;
+    if (try_elided(body, site)) return;
     // Hardware re-elision: no software backoff exists in HLE.
-    if (sink_ && a + 1 < attempts_) {
-      sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), false));
-    }
+    if (a + 1 < attempts_) env_.retry(ctx);
   }
   // Hardware falls back to the real acquisition: the lock word write
   // conflicts with every concurrent elided section, aborting them all.
-  if (sink_) sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), true));
+  env_.fallback(ctx);
   ++stats_.lock_acquisitions;
   lock_.lock();
-  hooks_.on_begin();
+  env_.begin(ctx, site);
   try {
     body();
   } catch (...) {
-    hooks_.on_abort();
+    env_.abort(ctx);
     lock_.unlock();
     throw;
   }
   // Commit while the lock is still held: the section's effects become
   // visible to other contexts only at the unlock.
-  hooks_.on_commit();
+  env_.commit(ctx);
   lock_.unlock();
 }
 

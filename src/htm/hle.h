@@ -18,9 +18,7 @@
 // its software-controlled retry budget — the reason Algorithm-1-style RTM
 // runtimes usually beat plain HLE on contended short sections.
 
-#include <array>
 #include <cstdint>
-#include <functional>
 
 #include "htm/rtm.h"
 #include "sim/machine.h"
@@ -44,41 +42,33 @@ struct HleStats {
 // An elidable test-and-set lock (the XACQUIRE/XRELEASE pattern).
 class HleLock {
  public:
-  // `lock_base` must point at one line-aligned simulated word.
-  HleLock(sim::Machine& m, sim::Addr lock_base, uint32_t elision_attempts = 1)
-      : m_(m), lock_(m, lock_base), attempts_(elision_attempts) {}
+  // `lock_base` must point at one line-aligned simulated word. `env`
+  // brackets every elided attempt and the lock-path section, as for
+  // RtmExecutor: the lock path commits after the body while the lock is
+  // still held, so src/check seals sections in visibility order. Null for a
+  // bare lock.
+  HleLock(sim::Machine& m, sim::Addr lock_base, uint32_t elision_attempts = 1,
+          const core::ExecutorEnv* env = nullptr)
+      : m_(m), lock_(m, lock_base), attempts_(elision_attempts),
+        env_(core::ExecutorEnv::of(env, m)) {}
 
   void init() { lock_.init(); }
 
   // Executes `body` as an elided critical section: speculatively first
   // (`attempts_` tries, as hardware would re-elide after some abort kinds),
-  // then under the real lock.
-  void critical_section(util::FnRef<void()> body);
-
-  // Per-attempt scope hooks, mirroring RtmExecutor's: `begin` before every
-  // elided attempt and after the fallback lock acquisition; `commit` after
-  // a successful elision, and on the lock path after the body while the
-  // lock is still held (so src/check seals sections in visibility order);
-  // `abort` after every failed attempt. Used by the runtime for
-  // heap-allocation scoping and history recording.
-  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
-
-  // Optional observability sink (src/obs): reports re-elision and
-  // lock-acquisition decisions. Attempt events flow via the machine's
-  // TraceHooks.
-  void set_sink(obs::TraceSink* sink) { sink_ = sink; }
+  // then under the real lock. `site` labels the attempts for the sink.
+  void critical_section(util::FnRef<void()> body, uint32_t site = 0);
 
   const HleStats& stats() const { return stats_; }
 
  private:
-  bool try_elided(util::FnRef<void()> body);
+  bool try_elided(util::FnRef<void()> body, uint32_t site);
 
   sim::Machine& m_;
   sync::TasSpinLock lock_;
   uint32_t attempts_;
+  core::ExecutorEnv env_;
   HleStats stats_;
-  core::ScopeHooks hooks_;
-  obs::TraceSink* sink_ = nullptr;
 };
 
 }  // namespace tsx::htm

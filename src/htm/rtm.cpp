@@ -1,9 +1,5 @@
 #include "htm/rtm.h"
 
-#include <algorithm>
-
-#include "obs/trace_sink.h"
-
 namespace tsx::htm {
 
 void RtmStats::merge(const RtmStats& o) {
@@ -42,8 +38,10 @@ AttemptResult attempt(Machine& m, util::FnRef<void()> body) {
   return r;
 }
 
-RtmExecutor::RtmExecutor(Machine& m, Addr lock_base, core::RetryPolicy policy)
+RtmExecutor::RtmExecutor(Machine& m, Addr lock_base, core::RetryPolicy policy,
+                         const core::ExecutorEnv* env)
     : m_(m), lock_(m, lock_base), policy_(policy),
+      env_(core::ExecutorEnv::of(env, m)),
       lock_line_(sim::line_of(lock_base)) {}
 
 void RtmExecutor::init() { lock_.init(); }
@@ -82,106 +80,91 @@ AbortClass RtmExecutor::classify(const AttemptResult& r, uint64_t lock_line) {
   return AbortClass::kMisc5;
 }
 
-void RtmExecutor::record(RtmStats& s, const AttemptResult& r,
-                         uint64_t lock_line) {
-  ++s.attempts;
-  if (r.committed) {
-    ++s.commits;
-    s.cycles_committed += r.cycles;
-    return;
+size_t RtmSiteStats::enter(uint32_t site) {
+  size_t i = 0;
+  while (i < sites_.size() && sites_[i].first != site) ++i;
+  if (i == sites_.size()) sites_.emplace_back(site, RtmStats{});
+  ++total_.transactions;
+  ++sites_[i].second.transactions;
+  return i;
+}
+
+void RtmSiteStats::record(size_t i, const AttemptResult& r, AbortClass cls) {
+  for (RtmStats* s : {&total_, &sites_[i].second}) {
+    ++s->attempts;
+    if (r.committed) {
+      ++s->commits;
+      s->cycles_committed += r.cycles;
+      continue;
+    }
+    s->cycles_aborted += r.cycles;
+    ++s->aborts_by_class[static_cast<size_t>(cls)];
+    ++s->aborts_by_reason[static_cast<size_t>(r.reason)];
   }
-  s.cycles_aborted += r.cycles;
-  ++s.aborts_by_class[static_cast<size_t>(classify(r, lock_line))];
-  ++s.aborts_by_reason[static_cast<size_t>(r.reason)];
+}
+
+RtmStats RtmSiteStats::site(uint32_t site) const {
+  for (const auto& [id, st] : sites_) {
+    if (id == site) return st;
+  }
+  return RtmStats{};
 }
 
 void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
-  // Hold an index, not a pointer: body() may yield to another fiber whose
-  // execute() appends a new site and reallocates sites_ underneath us.
-  size_t site_idx = sites_.size();
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    if (sites_[i].first == site) {
-      site_idx = i;
-      break;
-    }
-  }
-  if (site_idx == sites_.size()) {
-    sites_.emplace_back(site, RtmStats{});
-  }
-  ++total_.transactions;
-  ++sites_[site_idx].second.transactions;
-  if (sink_) sink_->set_site(m_.current_ctx(), site);
-
+  size_t site_idx = stats_.enter(site);
+  sim::CtxId ctx = m_.current_ctx();
   uint32_t retries = 0;
   for (;;) {
     ++retries;
     if (policy_.subscription == core::LockSubscription::kWaitThenSubscribe) {
       while (!lock_.read_can_lock()) m_.pause();
     }
-    hooks_.on_begin();
+    env_.begin_hw(ctx, site);
     AttemptResult r = attempt(m_, [&] {
       if (policy_.subscription != core::LockSubscription::kNone) {
         if (!lock_.read_can_lock()) m_.tx_abort(kAbortCodeLockBusy);
       }
       body();
     });
+    AbortClass cls = classify(r, lock_line_);
     if (r.committed) {
-      hooks_.on_commit();
+      env_.commit(ctx);
     } else {
-      hooks_.on_abort();
+      env_.abort(ctx);
     }
-    record(total_, r, lock_line_);
-    record(sites_[site_idx].second, r, lock_line_);
+    stats_.record(site_idx, r, cls);
     if (r.committed) return;
 
     // The paper: if the abort says the serial lock was (or is being) held,
     // wait for it to be released before retrying.
-    if (classify(r, lock_line_) == AbortClass::kLock) {
+    if (cls == AbortClass::kLock) {
       while (!lock_.read_can_lock()) m_.pause();
     }
     if (policy_.exhausted(retries)) break;
-    // With the default kNone shape this is 0 and must not reach compute():
-    // an extra scheduling point would perturb deterministic schedules.
-    Cycles wait = policy_.backoff_cycles(retries, m_.setup_rng());
-    if (sink_) {
-      sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), false, wait));
-    }
-    if (wait) m_.compute(wait);
+    env_.retry(ctx, policy_.backoff_cycles(retries, m_.setup_rng()));
   }
 
   // Serial fallback. With kNoSubscription this is unsafe against running
   // transactions (the ablation measures exactly that); with subscription it
   // aborts all of them via the lock line.
-  if (sink_) sink_->emit(obs::retry_event(m_.current_ctx(), m_.now(), true));
+  env_.fallback(ctx);
   Cycles t0 = m_.now();
-  ++total_.fallbacks;
-  ++sites_[site_idx].second.fallbacks;
-  per_ctx_[m_.current_ctx()].in_fallback = true;
+  stats_.add_fallback(site_idx);
+  per_ctx_[ctx].in_fallback = true;
   lock_.write_lock();
-  hooks_.on_begin();
+  env_.begin(ctx, site);
   try {
     body();
   } catch (...) {
-    hooks_.on_abort();
-    per_ctx_[m_.current_ctx()].in_fallback = false;
+    env_.abort(ctx);
+    per_ctx_[ctx].in_fallback = false;
     lock_.write_unlock();
     throw;
   }
-  hooks_.on_commit();
+  env_.commit(ctx);
   lock_.write_unlock();
-  per_ctx_[m_.current_ctx()].in_fallback = false;
-  Cycles dt = m_.now() - t0;
-  total_.cycles_fallback += dt;
-  sites_[site_idx].second.cycles_fallback += dt;
-}
-
-RtmStats RtmExecutor::stats() const { return total_; }
-
-RtmStats RtmExecutor::site_stats(uint32_t site) const {
-  for (const auto& [id, st] : sites_) {
-    if (id == site) return st;
-  }
-  return RtmStats{};
+  per_ctx_[ctx].in_fallback = false;
+  stats_.add_fallback_cycles(site_idx, m_.now() - t0);
 }
 
 }  // namespace tsx::htm

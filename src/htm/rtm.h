@@ -18,16 +18,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/executor_env.h"
 #include "core/retry_policy.h"
-#include "core/scope_hooks.h"
 #include "sim/machine.h"
 #include "sim/types.h"
 #include "sync/spinlock.h"
 #include "util/fn_ref.h"
-
-namespace tsx::obs {
-class TraceSink;
-}
 
 namespace tsx::htm {
 
@@ -97,6 +93,37 @@ struct RtmStats {
   void merge(const RtmStats& o);
 };
 
+// Aggregate and per-site RtmStats of one executor. Sites keep
+// first-execution order (RunReport::rtm_sites and the digests over it
+// depend on it). Callers hold a site's index, not a pointer: a body may
+// yield to a fiber whose execute() appends a site and reallocates the table.
+class RtmSiteStats {
+ public:
+  // Counts one execute() at `site` and returns the site's index.
+  size_t enter(uint32_t site);
+  // Counts one attempt; an aborted one under `cls`.
+  void record(size_t i, const AttemptResult& r, AbortClass cls);
+  void add_fallback(size_t i) {
+    ++total_.fallbacks;
+    ++sites_[i].second.fallbacks;
+  }
+  void add_fallback_cycles(size_t i, Cycles dt) {
+    total_.cycles_fallback += dt;
+    sites_[i].second.cycles_fallback += dt;
+  }
+
+  const RtmStats& total() const { return total_; }
+  const std::vector<std::pair<uint32_t, RtmStats>>& sites() const {
+    return sites_;
+  }
+  // Sites not seen return zeroed stats.
+  RtmStats site(uint32_t site) const;
+
+ private:
+  RtmStats total_;
+  std::vector<std::pair<uint32_t, RtmStats>> sites_;
+};
+
 // Algorithm 1: transactional execution with serial-lock fallback. One
 // executor per Machine; all threads share it (its mutable statistics are
 // per-context, merged on demand, so fibers never race on counters — not
@@ -106,17 +133,15 @@ class RtmExecutor {
  public:
   // `lock_base` must point at SerialRwLock::kFootprintBytes of simulated
   // memory, line-aligned so the subscription line is exclusive to the lock.
-  RtmExecutor(Machine& m, Addr lock_base, core::RetryPolicy policy = {});
+  // `env` brackets every attempt and fallback execution (heap scope,
+  // observer units, call site and retry decisions for the sink; attempt
+  // lifecycle events reach the sink through the machine's TraceHooks);
+  // null for a bare executor.
+  RtmExecutor(Machine& m, Addr lock_base, core::RetryPolicy policy = {},
+              const core::ExecutorEnv* env = nullptr);
 
   // Host-side initialization of the lock words.
   void init();
-
-  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
-
-  // Optional observability sink (src/obs): execute() declares the call site
-  // to it and reports every retry-policy decision (backoff length, fallback
-  // taken). Begin/commit/abort events flow via the machine's TraceHooks.
-  void set_sink(obs::TraceSink* sink) { sink_ = sink; }
 
   // Executes `body` atomically: hardware transaction with retry, then
   // serial fallback. `site` identifies the static transaction site for
@@ -132,11 +157,11 @@ class RtmExecutor {
   const core::RetryPolicy& policy() const { return policy_; }
 
   // Aggregate statistics across all contexts / sites.
-  RtmStats stats() const;
+  RtmStats stats() const { return stats_.total(); }
   // Per-site view (sites not seen return zeroed stats).
-  RtmStats site_stats(uint32_t site) const;
+  RtmStats site_stats(uint32_t site) const { return stats_.site(site); }
   const std::vector<std::pair<uint32_t, RtmStats>>& all_site_stats() const {
-    return sites_;
+    return stats_.sites();
   }
 
   static AbortClass classify(const AttemptResult& r, uint64_t lock_line);
@@ -146,17 +171,13 @@ class RtmExecutor {
     bool in_fallback = false;
   };
 
-  void record(RtmStats& s, const AttemptResult& r, uint64_t lock_line);
-
   Machine& m_;
   sync::SerialRwLock lock_;
   core::RetryPolicy policy_;
-  core::ScopeHooks hooks_;
-  obs::TraceSink* sink_ = nullptr;
+  core::ExecutorEnv env_;
   uint64_t lock_line_;
   std::array<PerCtx, sim::kMaxCtxs> per_ctx_{};
-  RtmStats total_;
-  std::vector<std::pair<uint32_t, RtmStats>> sites_;
+  RtmSiteStats stats_;
 };
 
 }  // namespace tsx::htm

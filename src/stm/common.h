@@ -13,16 +13,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/executor_env.h"
 #include "core/retry_policy.h"
-#include "core/scope_hooks.h"
-#include "core/trace.h"
 #include "sim/machine.h"
 #include "sim/types.h"
 #include "util/fn_ref.h"
-
-namespace tsx::obs {
-class TraceSink;
-}
 
 namespace tsx::stm {
 
@@ -155,9 +150,15 @@ class LogRing {
 };
 
 // Abstract STM algorithm. One instance serves all contexts of a Machine.
+// Implementations report the transaction's serialization point through the
+// env (the runtime's observer slot, read at call time) from tx_commit —
+// after validation has succeeded (commit is now inevitable) and before the
+// write-back makes the new values readable by other contexts. `env` is null
+// for a bare STM.
 class StmSystem {
  public:
-  explicit StmSystem(Machine& m) : m_(m) {}
+  StmSystem(Machine& m, const core::ExecutorEnv* env)
+      : m_(m), env_(core::ExecutorEnv::of(env, m)) {}
   virtual ~StmSystem() = default;
 
   virtual const char* name() const = 0;
@@ -174,13 +175,6 @@ class StmSystem {
   StmStats& stats() { return stats_; }
   const StmStats& stats() const { return stats_; }
 
-  // The runtime's observer slot (src/check's history recorder), read at
-  // call time. Implementations report the transaction's serialization point
-  // through it from tx_commit — after validation has succeeded (commit is
-  // now inevitable) and before the write-back makes the new values readable
-  // by other contexts.
-  void set_observer(core::TxObserver* const* slot) { observer_ = slot; }
-
  protected:
   [[noreturn]] void abort_tx(StmAbortCause cause, Addr addr = ~Addr{0},
                              CtxId owner = sim::kNoCtx) {
@@ -188,13 +182,9 @@ class StmSystem {
     throw StmAborted{cause, addr, owner};
   }
 
-  void notify_serialized(CtxId ctx) {
-    if (observer_ && *observer_) (*observer_)->on_unit_commit(ctx);
-  }
-
   Machine& m_;
+  core::ExecutorEnv env_;
   StmStats stats_;
-  core::TxObserver* const* observer_ = nullptr;
 };
 
 // Retry loop with suicide contention management. The wait between attempts
@@ -203,20 +193,19 @@ class StmSystem {
 // STM has no fallback path — it retries until it commits.
 class StmExecutor {
  public:
-  StmExecutor(Machine& m, StmSystem& stm, StmConfig cfg = {}) : m_(m), stm_(stm) {
+  // `env` brackets every attempt: heap scope, observer units, and the
+  // attempt lifecycle and backoff decisions for the sink (software
+  // transactions never pass through the machine's hardware-tx hooks). Null
+  // for a bare executor.
+  StmExecutor(Machine& m, StmSystem& stm, StmConfig cfg = {},
+              const core::ExecutorEnv* env = nullptr)
+      : m_(m), stm_(stm), env_(core::ExecutorEnv::of(env, m)) {
     policy_.max_attempts = 0;  // unbounded: no fallback
     policy_.subscription = core::LockSubscription::kNone;  // no lock to watch
     policy_.backoff = core::BackoffShape::kExponential;
     policy_.backoff_base_cycles = cfg.backoff_base_cycles;
     policy_.backoff_cap_shift = cfg.backoff_cap_shift;
   }
-
-  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
-
-  // Optional observability sink (src/obs): attempt lifecycle and
-  // contention-manager backoff decisions for software transactions, which
-  // never pass through the machine's hardware-tx hooks.
-  void set_sink(obs::TraceSink* sink) { sink_ = sink; }
 
   const core::RetryPolicy& retry_policy() const { return policy_; }
 
@@ -233,11 +222,13 @@ class StmExecutor {
   bool execute_once(util::FnRef<void()> body, uint32_t site = 0);
 
  private:
+  // One attempt of a counted transaction: true on commit, false on abort.
+  bool attempt(util::FnRef<void()> body, uint32_t site);
+
   Machine& m_;
   StmSystem& stm_;
+  core::ExecutorEnv env_;
   core::RetryPolicy policy_;
-  core::ScopeHooks hooks_;
-  obs::TraceSink* sink_ = nullptr;
 };
 
 }  // namespace tsx::stm

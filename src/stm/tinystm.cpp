@@ -6,8 +6,9 @@ namespace {
 constexpr uint64_t kLogRingBytes = 256 * 1024;
 }
 
-TinyStm::TinyStm(Machine& m, Addr region_base, StmConfig cfg)
-    : StmSystem(m),
+TinyStm::TinyStm(Machine& m, Addr region_base, StmConfig cfg,
+                 const core::ExecutorEnv* env)
+    : StmSystem(m, env),
       clock_addr_(region_base),
       locks_(m, region_base + sim::kLineBytes, cfg),
       cfg_(cfg) {
@@ -148,7 +149,7 @@ void TinyStm::tx_commit(CtxId ctx) {
   if (!tx.active) throw std::logic_error("TinySTM: commit outside tx");
   if (tx.write_list.empty()) {
     // Read-only: the snapshot is consistent by LSA invariants.
-    notify_serialized(ctx);
+    env_.serialized(ctx);
     tx.active = false;
     ++stats_.commits;
     return;
@@ -163,7 +164,7 @@ void TinyStm::tx_commit(CtxId ctx) {
   }
   // Serialization point: validation succeeded and every written stripe is
   // still locked, so the commit can no longer fail or be observed early.
-  notify_serialized(ctx);
+  env_.serialized(ctx);
   // Write back, then release the stripes at the new version.
   for (const auto& [addr, value] : tx.write_list) {
     m_.store(addr, value);

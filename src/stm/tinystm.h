@@ -20,7 +20,8 @@ namespace tsx::stm {
 class TinyStm final : public StmSystem {
  public:
   // Memory layout: [clock line][lock table][per-ctx log rings].
-  TinyStm(Machine& m, Addr region_base, StmConfig cfg = {});
+  TinyStm(Machine& m, Addr region_base, StmConfig cfg = {},
+          const core::ExecutorEnv* env = nullptr);
 
   const char* name() const override { return "TinySTM"; }
   void init() override;

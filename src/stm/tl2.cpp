@@ -6,8 +6,9 @@ namespace {
 constexpr uint64_t kLogRingBytes = 256 * 1024;
 }
 
-Tl2::Tl2(Machine& m, Addr region_base, StmConfig cfg)
-    : StmSystem(m),
+Tl2::Tl2(Machine& m, Addr region_base, StmConfig cfg,
+         const core::ExecutorEnv* env)
+    : StmSystem(m, env),
       clock_addr_(region_base),
       locks_(m, region_base + sim::kLineBytes, cfg),
       cfg_(cfg) {
@@ -96,7 +97,7 @@ void Tl2::tx_commit(CtxId ctx) {
   TxDesc& tx = tx_[ctx];
   if (!tx.active) throw std::logic_error("TL2: commit outside tx");
   if (tx.write_list.empty()) {
-    notify_serialized(ctx);
+    env_.serialized(ctx);
     tx.active = false;
     ++stats_.commits;
     return;
@@ -135,7 +136,7 @@ void Tl2::tx_commit(CtxId ctx) {
     }
   }
   // Serialization point: read-set validated, all written stripes locked.
-  notify_serialized(ctx);
+  env_.serialized(ctx);
   for (const auto& [addr, value] : tx.write_list) {
     m_.store(addr, value);
   }

@@ -15,7 +15,8 @@ namespace tsx::stm {
 
 class Tl2 final : public StmSystem {
  public:
-  Tl2(Machine& m, Addr region_base, StmConfig cfg = {});
+  Tl2(Machine& m, Addr region_base, StmConfig cfg = {},
+      const core::ExecutorEnv* env = nullptr);
 
   const char* name() const override { return "TL2"; }
   void init() override;
