@@ -128,6 +128,27 @@ TEST(TxRuntime, NestedTransactionsFlatten) {
   EXPECT_EQ(rt.report().rtm.transactions, 1u);
 }
 
+TEST(TxRuntime, MallocInsideAbortedRtmTxIsReclaimed) {
+  RunConfig cfg = make_cfg(Backend::kRtm, 1);
+  cfg.retry.max_attempts = 1;
+  TxRuntime rt(cfg);
+  Addr data = rt.heap().host_alloc(8, 64);
+  uint64_t allocs_live_before = 0;
+  rt.run([&](TxCtx& ctx) {
+    allocs_live_before = ctx.runtime().heap().stats().bytes_live;
+    ctx.transaction([&] {
+      Addr p = ctx.malloc(64);
+      ctx.store(data, p);
+      if (!ctx.in_rtm_fallback()) {
+        // Force an abort on the speculative path only.
+        ctx.runtime().machine().tx_abort(0x1);
+      }
+    });
+  });
+  // Exactly one allocation (from the fallback execution) survives.
+  EXPECT_EQ(rt.heap().stats().bytes_live, allocs_live_before + 64);
+}
+
 // The heap-scope half of the attempt bracket. A speculative attempt's
 // allocations are undone when it aborts; lock and sequential sections take
 // no scope, so a free inside them takes effect at once.
